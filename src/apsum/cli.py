@@ -86,17 +86,28 @@ def _default_table(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+class UsageError(DomainError):
+    """Malformed command-line input that argparse cannot catch (exit 2)."""
+
+
 def _seed(args, default_m: int = 5) -> ArithmeticSeed:
     return ArithmeticSeed(args.a, args.d, getattr(args, "m", None) or default_m)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """Inclusive LO:HI (or LO..HI, or one value); a reversed or non-integer range is refused."""
+    lo, hi = text, text
     for sep in (":", ".."):
         if sep in text:
             lo, hi = text.split(sep, 1)
-            return int(lo), int(hi)
-    value = int(text)
-    return value, value
+            break
+    try:
+        bounds = int(lo), int(hi)
+    except ValueError:
+        raise UsageError("invalidRange", f"range {text!r} is not LO:HI with integer bounds") from None
+    if bounds[0] > bounds[1]:
+        raise UsageError("invalidRange", f"range {text!r} is reversed (LO > HI)")
+    return bounds
 
 
 # ----------------------------------------------------------------------
@@ -226,12 +237,18 @@ def _cmd_hilbert(args):
 
 
 def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("APSUM_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker count from --jobs, else APSUM_JOBS, else the cpu count; at most the cpu count."""
+    cpus = os.cpu_count() or 1
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("APSUM_JOBS")
+        if not env:
+            return cpus
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise UsageError("invalidJobs", f"APSUM_JOBS={env!r} is not an integer") from None
+    return min(max(1, jobs), cpus)
 
 
 def _cmd_sweep_unique(args):
@@ -279,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apery", help="Apery set (closed form, or --oracle)")
     add_seed_flags(p)
-    p.add_argument("--oracle", action="store_true", help="use the sieve oracle instead of the closed form")
+    p.add_argument("--oracle", action="store_true", help="use the brute-force oracle instead of the closed form")
     p.set_defaults(handler=_cmd_apery)
 
     p = sub.add_parser("frobenius", help="Frobenius number")
@@ -327,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a-range", required=True, help="inclusive range LO:HI")
         p.add_argument("--d-range", required=True, help="inclusive range LO:HI")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: APSUM_JOBS or cpu count)")
+                       help="worker processes, at most the cpu count (default: APSUM_JOBS or cpu count)")
         p.add_argument("--checkpoint", default=None, help="append-only JSONL checkpoint path")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", default=None)
@@ -349,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, csv_text, table_text, code = args.handler(args)
+    except UsageError as exc:
+        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
+        return EXIT_USAGE
     except DomainError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN

@@ -6,6 +6,11 @@ element orders, and representation counts.  The closed forms elsewhere in the
 package are always cross-checked against these functions, so they stay
 deliberately simple and exact (Python integers throughout).
 
+Apery sets are shortest paths over the residues mod the base c, computed with
+the round-robin algorithm of Boecker and Liptak ("A fast and simple algorithm
+for the money changing problem", Algorithmica 48, 2007) in O(m * c) steps for
+m generators; Frobenius and pseudo-Frobenius numbers are read off that list.
+
 All functions are pure; generator lists are normalized to tuples.
 """
 
@@ -60,26 +65,39 @@ def apery_oracle(gens, c: int) -> list[int]:
 
     Entry 0 is 0.  Raises ``aperyBaseNotInSemigroup`` when c is not a nonzero
     element of the semigroup.
+
+    Round-robin residue DP (Boecker and Liptak, Algorithmica 48, 2007): adding
+    generator x joins residue r to r + x mod c, which splits the residues into
+    gcd(c, x) cycles.  Each cycle is walked once from its least known entry,
+    relaxing every successor, so the whole set costs O(m * c) steps.
     """
     g = validate_generators(gens)
     if c <= 0 or not (membership_mask(g, c) >> c & 1):
         raise DomainError("aperyBaseNotInSemigroup", f"{c} is not a nonzero semigroup element")
-    limit = 4 * max(c, g[-1])
-    while True:
-        mask = membership_mask(g, limit)
-        out = [0] * c
-        complete = True
-        for res in range(1, c):
-            v = res
-            while v <= limit and not (mask >> v & 1):
-                v += c
-            if v > limit:
-                complete = False
-                break
-            out[res] = v
-        if complete:
-            return out
-        limit *= 2
+    # A least element is a sum of at most c - 1 generators (a shortest path
+    # visits each residue once), so c * g[-1] exceeds every finite entry.
+    unset = c * g[-1]
+    out = [unset] * c
+    out[0] = 0
+    for x in g:
+        step = x % c
+        if step == 0:
+            continue  # x only revisits its own class at a larger value
+        k = gcd(c, step)
+        for first in range(k):
+            # the cycle of first is first, first + k, first + 2k, ... (mod c)
+            r = min(range(first, c, k), key=out.__getitem__)
+            if out[r] == unset:
+                continue
+            for _ in range(c // k - 1):
+                nxt = r + step
+                if nxt >= c:
+                    nxt -= c
+                via = out[r] + x
+                if via < out[nxt]:
+                    out[nxt] = via
+                r = nxt
+    return out
 
 
 def frobenius_oracle(gens) -> int:
@@ -127,10 +145,10 @@ def pseudo_frobenius_oracle(gens) -> tuple[int, ...]:
     g = validate_generators(gens)
     a = g[0]
     ap = apery_oracle(g, a)
-    mask = membership_mask(g, max(ap) + 1)
     pf = []
     for w in ap:
-        dominated = any(x != w and x >= w and (mask >> (x - w) & 1) for x in ap)
+        # x - w is a member iff it is at least the least member of its class
+        dominated = any(x > w and x - w >= ap[(x - w) % a] for x in ap)
         if not dominated:
             pf.append(w - a)
     return tuple(sorted(pf))

@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
+from .errors import DomainError
 from .family import ArithmeticSeed, apery_set_conjectured6, partial_sum_generators, uniqueness_check
 from .oracle import apery_oracle, is_minimal_generating
 
@@ -221,7 +222,7 @@ def sweep_uniqueness(
 ) -> SweepReport:
     """Check unique Apery expansions for the m-generator family over a grid."""
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise DomainError("invalidSeed", f"m must be at least 2, got {m}")
     return _run_sweep("uniqueness", _uniqueness_task, m, a_range, d_range, jobs, checkpoint_path)
 
 

@@ -114,6 +114,34 @@ def test_criterion_3_pf_and_frobenius():
             time.perf_counter() - start)
 
 
+def log_spaced_seeds(a_lo, a_hi, count, d_hi):
+    """count seeds with a log-spaced in (a_lo, a_hi] and d cycling through
+    1..d_hi, each d bumped to the next value coprime to its a."""
+    seeds = []
+    for i in range(1, count + 1):
+        a = round(a_lo * (a_hi / a_lo) ** (i / count))
+        d = 1 + (7 * i) % d_hi
+        while gcd(a, d) != 1:
+            d = d % d_hi + 1
+        seeds.append((a, d))
+    return seeds
+
+
+def test_closed_forms_vs_oracle_to_a1000():
+    start = time.perf_counter()
+    seeds = log_spaced_seeds(120, 1000, 100, 15)
+    assert len(set(seeds)) == 100 and max(a for a, _ in seeds) == 1000
+    assert {a % 10 for a, _ in seeds} == set(range(10))  # every PF offset row
+    for a, d in seeds:
+        seed = ArithmeticSeed(a, d)
+        gens = partial_sum_generators(seed)
+        assert apery_set_closed(seed) == set(apery_oracle(gens, a)), (a, d)
+        assert pseudo_frobenius_set(seed).pf == pseudo_frobenius_oracle(gens), (a, d)
+        assert frobenius_number(seed) == frobenius_oracle(gens), (a, d)
+    _report("2+3", f"Apery set, PF set and Frobenius = oracle on {len(seeds)} log-spaced "
+            "seeds (120<a<=1000, d<=15)", time.perf_counter() - start)
+
+
 def test_criterion_4_gastinger_grid():
     start = time.perf_counter()
     grid = coprime_grid(11, 60, 1, 10)

@@ -1,10 +1,11 @@
 """CLI surface: envelopes, formats, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from apsum.cli import main
+from apsum.cli import _jobs, main
 from apsum.ideal import GastingerReport
 
 
@@ -137,3 +138,41 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("a_range,d_range", [("20:16", "1:2"), ("16:20", "8:1"), ("x:20", "1:2")])
+def test_sweep_bad_range_is_usage_error(capsys, a_range, d_range):
+    code, out, err = run(capsys, "sweep", "gamma6", "--a-range", a_range, "--d-range", d_range,
+                         "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalidRange"
+
+
+def test_bad_apsum_jobs_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("APSUM_JOBS", "x")
+    code, out, err = run(capsys, "sweep", "gamma6", "--a-range", "16:17", "--d-range", "1:1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalidJobs"
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.delenv("APSUM_JOBS", raising=False)
+    assert _jobs(argparse.Namespace(jobs=None)) == 2
+    assert _jobs(argparse.Namespace(jobs=64)) == 2
+    assert _jobs(argparse.Namespace(jobs=0)) == 1
+    monkeypatch.setenv("APSUM_JOBS", "1000")
+    assert _jobs(argparse.Namespace(jobs=None)) == 2
+    assert _jobs(argparse.Namespace(jobs=1)) == 1  # --jobs wins over the environment
+    monkeypatch.setenv("APSUM_JOBS", "0")
+    assert _jobs(argparse.Namespace(jobs=None)) == 1
+
+
+def test_sweep_unique_small_m_is_domain_error(capsys):
+    code, out, err = run(capsys, "sweep", "unique", "--m", "1", "--a-range", "11:12",
+                         "--d-range", "1:1", "--jobs", "1")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "invalidSeed"

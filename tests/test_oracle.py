@@ -1,6 +1,11 @@
 """Brute-force engine: worked examples plus structural properties."""
 
+from functools import reduce
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apsum import (
     ArithmeticSeed,
@@ -16,6 +21,7 @@ from apsum import (
     representations,
     validate_generators,
 )
+from apsum.oracle import membership_mask
 
 GENS_11_2 = (11, 24, 39, 56, 75)
 GENS_23_1 = (23, 47, 72, 98, 125)
@@ -142,3 +148,93 @@ def test_pf_elements_are_gaps_that_every_generator_fills():
             assert not membership(x, gens)
             for g in gens:
                 assert membership(x + g, gens)
+
+
+# ----------------------------------------------------------------------
+# differential check against the limit-doubling membership sieve
+# ----------------------------------------------------------------------
+
+def sieve_apery(gens, c):
+    """Reference Apery set: sieve members up to a limit, doubling it until
+    every residue class mod c has a member, and take the least in each."""
+    g = validate_generators(gens)
+    if c <= 0 or not (membership_mask(g, c) >> c & 1):
+        raise DomainError("aperyBaseNotInSemigroup", f"{c} is not a nonzero semigroup element")
+    limit = 4 * max(c, g[-1])
+    while True:
+        mask = membership_mask(g, limit)
+        out = [0] * c
+        for res in range(1, c):
+            v = res
+            while v <= limit and not (mask >> v & 1):
+                v += c
+            if v > limit:
+                break
+            out[res] = v
+        else:
+            return out
+        limit *= 2
+
+
+def sieve_pseudo_frobenius(gens):
+    """Reference PF set: Apery elements maximal under w <= w' iff w' - w is a
+    member (tested on the sieve), shifted down by the multiplicity."""
+    g = validate_generators(gens)
+    ap = sieve_apery(g, g[0])
+    mask = membership_mask(g, max(ap) + 1)
+    return tuple(sorted(
+        w - g[0] for w in ap
+        if not any(x != w and x >= w and (mask >> (x - w) & 1) for x in ap)
+    ))
+
+
+@st.composite
+def generators_and_base(draw):
+    """Strictly increasing gcd-1 generators and a nonzero member c of their
+    semigroup: a generator, a sum of two, or a multiple of one."""
+    gens = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=5))))
+    if reduce(gcd, gens) != 1:
+        gens = tuple(sorted(set(gens) | {draw(st.sampled_from((1, 41, 43)))}))
+    x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+    c = draw(st.sampled_from((x, x + y, 3 * x)))
+    return gens, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(generators_and_base())
+def test_apery_oracle_matches_sieve_on_random_generators(case):
+    gens, c = case
+    assert apery_oracle(gens, c) == sieve_apery(gens, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators_and_base())
+def test_pseudo_frobenius_oracle_matches_sieve_on_random_generators(case):
+    gens, _ = case
+    assert pseudo_frobenius_oracle(gens) == sieve_pseudo_frobenius(gens)
+
+
+SIEVE_CASES = [
+    # partial sums with a base that is a member but not the multiplicity
+    (GENS_11_2, GENS_11_2[1]),
+    (GENS_11_2, GENS_11_2[0] + GENS_11_2[1]),
+    (GENS_23_1, GENS_23_1[1]),
+    (GENS_23_1, GENS_23_1[0] + GENS_23_1[1]),
+    (partial_sum_generators(ArithmeticSeed(16, 3, 6)), 16 + 35),
+    # gcd(c, x mod c) > 1: 9 and 20 split the residues mod 6 (and mod 12)
+    # into several cycles
+    ((6, 9, 20), 6),
+    ((6, 9, 20), 12),
+    ((10, 15, 24, 33), 10),
+    ((10, 15, 24, 33), 30),
+    # a generator that is a multiple of the base is never a step
+    ((4, 6, 8, 9), 4),
+    ((3, 7, 9, 12), 3),
+    ((5, 7, 10, 15, 21), 5),
+]
+
+
+@pytest.mark.parametrize("gens,c", SIEVE_CASES)
+def test_apery_oracle_matches_sieve_on_chosen_bases(gens, c):
+    assert apery_oracle(gens, c) == sieve_apery(gens, c)
+    assert pseudo_frobenius_oracle(gens) == sieve_pseudo_frobenius(gens)
