@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .cone import (
     AperyTable,
     ConeDecomposition,
-    HilbertNumerator,
     LadderAnalysis,
     apery_table,
     cone_decomposition,

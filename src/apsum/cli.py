@@ -4,11 +4,21 @@ Every subcommand emits a JSON envelope {command, seed, payload, toolVersion,
 schemaVersion} by default; --format csv/table give flat exports of the same
 payload.  Exit codes: 0 success, 2 usage error, 3 domain error (bad seed,
 non-member, ...), 4 verification failure (dimension check or cross-check).
+
+``main`` builds the seed once (None for sweeps) and passes it to the
+subcommand's handler.  A handler computes its result once and returns
+(payload, exit code, text), where text maps "csv" or "table" to a
+zero-argument renderer for a format the payload cannot render generically.
+Only the requested format is rendered: json is the envelope; csv is one row
+per record of a list payload, or a header and one row for a dict of scalars,
+else the payload as JSON; table is one "key: value" line per field.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -64,34 +74,32 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render(envelope: dict, fmt: str, csv_text: str | None, table_text: str | None, out_path):
+def _render(envelope: dict, fmt: str, text: dict) -> str:
     if fmt == "json":
-        _emit(json.dumps(envelope, indent=2, sort_keys=True) + "\n", out_path)
-    elif fmt == "csv":
-        _emit(csv_text if csv_text is not None else _default_csv(envelope["payload"]), out_path)
-    else:
-        _emit(table_text if table_text is not None else _default_table(envelope["payload"]), out_path)
+        return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    if fmt in text:
+        return text[fmt]()
+    payload = envelope["payload"]
+    if fmt == "csv":
+        return _csv(payload)
+    return "".join(f"{k}: {v}\n" for k, v in payload.items())
 
 
-def _default_csv(payload) -> str:
-    if isinstance(payload, list) and payload and isinstance(payload[0], dict):
-        keys = list(payload[0])
-        lines = [",".join(keys)]
-        lines += [",".join(str(row.get(k, "")) for k in keys) for row in payload]
-        return "\n".join(lines) + "\n"
-    return json.dumps(payload) + "\n"
-
-
-def _default_table(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _csv(payload) -> str:
+    if isinstance(payload, dict) and not any(isinstance(v, (list, dict)) for v in payload.values()):
+        payload = [payload]
+    if not (isinstance(payload, list) and payload and isinstance(payload[0], dict)):
+        return json.dumps(payload) + "\n"
+    keys = list(payload[0])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([str(row.get(k, "")) for k in keys] for row in payload)
+    return buf.getvalue()
 
 
 class UsageError(DomainError):
     """Malformed command-line input that argparse cannot catch (exit 2)."""
-
-
-def _seed(args, default_m: int = 5) -> ArithmeticSeed:
-    return ArithmeticSeed(args.a, args.d, getattr(args, "m", None) or default_m)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -110,12 +118,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return bounds
 
 
+def _joined(values) -> str:
+    return " ".join(str(v) for v in values) + "\n"
+
+
 # ----------------------------------------------------------------------
-# subcommand handlers: return (payload, csv_text, table_text, exit_code)
+# subcommand handlers: (seed, args) -> (payload, exit_code, text renderers)
 # ----------------------------------------------------------------------
 
-def _cmd_info(args):
-    seed = _seed(args)
+def _cmd_info(seed, args):
     gens = partial_sum_generators(seed)
     payload = {
         "generators": list(gens),
@@ -126,17 +137,14 @@ def _cmd_info(args):
     if seed.m == 5 and seed.a >= 11:
         pf = pseudo_frobenius_set(seed)
         payload.update({"frobenius": pf.frobenius, "pf": list(pf.pf), "type": pf.type_count})
-    table = "\n".join(f"{k}: {v}" for k, v in payload.items()) + "\n"
-    return payload, None, table, EXIT_OK
+    return payload, EXIT_OK, {}
 
 
-def _cmd_apery(args):
-    seed = _seed(args)
+def _cmd_apery(seed, args):
     if args.oracle:
         values = apery_oracle(partial_sum_generators(seed), seed.a)
         payload = {"byResidue": values, "set": sorted(values)}
-        table = " ".join(str(v) for v in sorted(values)) + "\n"
-        return payload, None, table, EXIT_OK
+        return payload, EXIT_OK, {"table": lambda: _joined(payload["set"])}
     records = apery_records(seed)
     payload = [
         {
@@ -149,22 +157,18 @@ def _cmd_apery(args):
         }
         for r in records
     ]
-    values = sorted([0] + [r.value for r in records])
-    table = " ".join(str(v) for v in values) + "\n"
-    return payload, None, table, EXIT_OK
+    return payload, EXIT_OK, {"table": lambda: _joined(sorted([0] + [r.value for r in records]))}
 
 
-def _cmd_frobenius(args):
-    seed = _seed(args)
+def _cmd_frobenius(seed, args):
     if args.oracle:
         value = frobenius_oracle(partial_sum_generators(seed))
     else:
         value = frobenius_number(seed)
-    return {"frobenius": value}, f"frobenius\n{value}\n", f"{value}\n", EXIT_OK
+    return {"frobenius": value}, EXIT_OK, {"table": lambda: f"{value}\n"}
 
 
-def _cmd_pf(args):
-    seed = _seed(args)
+def _cmd_pf(seed, args):
     if args.oracle:
         pf = list(pseudo_frobenius_oracle(partial_sum_generators(seed)))
         payload = {"pf": pf, "type": len(pf), "frobenius": max(pf)}
@@ -172,26 +176,21 @@ def _cmd_pf(args):
         res = pseudo_frobenius_set(seed)
         payload = {"pf": list(res.pf), "type": res.type_count, "frobenius": res.frobenius,
                    "sourcePath": res.source_path}
-    table = " ".join(str(v) for v in payload["pf"]) + "\n"
-    return payload, None, table, EXIT_OK
+    return payload, EXIT_OK, {"table": lambda: _joined(payload["pf"])}
 
 
-def _cmd_order(args):
-    seed = _seed(args)
+def _cmd_order(seed, args):
     value = order_oracle(args.value, partial_sum_generators(seed))
-    return {"element": args.value, "order": value}, f"element,order\n{args.value},{value}\n", f"{value}\n", EXIT_OK
+    return {"element": args.value, "order": value}, EXIT_OK, {"table": lambda: f"{value}\n"}
 
 
-def _cmd_ideal_list(args):
-    seed = _seed(args)
+def _cmd_ideal_list(seed, args):
     catalog = generator_catalog(seed, strict_21=args.strict_21)
-    payload = catalog_to_json(catalog)
-    lines = [f"{b.label}: {b.lhs} - {b.rhs}" for b in catalog]
-    return payload, None, "\n".join(lines) + "\n", EXIT_OK
+    return catalog_to_json(catalog), EXIT_OK, {
+        "table": lambda: "\n".join(f"{b.label}: {b.lhs} - {b.rhs}" for b in catalog) + "\n"}
 
 
-def _cmd_ideal_verify(args):
-    seed = _seed(args)
+def _cmd_ideal_verify(seed, args):
     report = gastinger_verify(seed)
     payload = {
         "dimension": _jsonable(report.dimension),
@@ -203,37 +202,33 @@ def _cmd_ideal_verify(args):
     if report.adjudication is not None:
         payload["adjudication"] = {k: _jsonable(v) for k, v in report.adjudication.items()}
     code = EXIT_OK if report.passed and report.minimal else EXIT_VERIFICATION
-    table = f"dimension {payload['dimension']} expected {seed.a} pass {report.passed} minimal {report.minimal}\n"
-    return payload, None, table, code
+    return payload, code, {"table": lambda: (
+        f"dimension {payload['dimension']} expected {seed.a} pass {report.passed} minimal {report.minimal}\n")}
 
 
-def _cmd_table(args):
-    seed = _seed(args)
+def _cmd_table(seed, args):
     table = apery_table(seed)
     payload = {"rows": [list(r) for r in table.rows], "top": table.top}
-    csv_text = table_to_csv(table)
-    human = "\n".join(" ".join(f"{v:5d}" for v in row) for row in table.rows) + "\n"
-    return payload, csv_text, human, EXIT_OK
+    return payload, EXIT_OK, {
+        "csv": lambda: table_to_csv(table),
+        "table": lambda: "".join(" ".join(f"{v:5d}" for v in row) + "\n" for row in table.rows),
+    }
 
 
-def _cmd_cone(args):
-    seed = _seed(args)
-    payload = cone_to_json(seed)
+def _cmd_cone(seed, args):
     dec = cone_decomposition(seed)
-    human = (
+    return cone_to_json(dec), EXIT_OK, {"table": lambda: (
         f"tCounts {list(dec.t_counts)} free {dec.free} shifts {list(dec.shifts)}\n"
         f"reduction formula {dec.reduction_formula} computed {dec.reduction_computed}\n"
-        f"properties {ring_properties(seed)}\n"
-    )
-    return payload, None, human, EXIT_OK
+        f"properties {ring_properties(dec)}\n"
+    )}
 
 
-def _cmd_hilbert(args):
-    seed = _seed(args)
-    numerator = hilbert_numerator(seed).coefficients
+def _cmd_hilbert(seed, args):
+    numerator = hilbert_numerator(seed)
     payload = {"numerator": list(numerator), "denominator": "1-x"}
-    table = " + ".join(f"{c}x^{k}" for k, c in enumerate(numerator)) + " over (1-x)\n"
-    return payload, None, table, EXIT_OK
+    return payload, EXIT_OK, {
+        "table": lambda: " + ".join(f"{c}x^{k}" for k, c in enumerate(numerator)) + " over (1-x)\n"}
 
 
 def _jobs(args) -> int:
@@ -251,26 +246,21 @@ def _jobs(args) -> int:
     return min(max(1, jobs), cpus)
 
 
-def _cmd_sweep_unique(args):
-    report = sweep_uniqueness(args.m, _parse_range(args.a_range), _parse_range(args.d_range),
-                              jobs=_jobs(args), checkpoint_path=args.checkpoint)
-    payload = report.to_json()
-    table = (
-        f"seeds {len(report.records)} violations {len(report.counterexamples)} "
+def _sweep(report, verdicts: str):
+    return report.to_json(), EXIT_OK, {"table": lambda: (
+        f"seeds {len(report.records)} {verdicts} {len(report.counterexamples)} "
         f"reused {report.reused} elapsedMs {report.elapsed_ms}\n"
-    )
-    return payload, None, table, EXIT_OK
+    )}
 
 
-def _cmd_sweep_gamma6(args):
-    report = sweep_gamma6(_parse_range(args.a_range), _parse_range(args.d_range),
-                          jobs=_jobs(args), checkpoint_path=args.checkpoint)
-    payload = report.to_json()
-    table = (
-        f"seeds {len(report.records)} mismatches {len(report.counterexamples)} "
-        f"reused {report.reused} elapsedMs {report.elapsed_ms}\n"
-    )
-    return payload, None, table, EXIT_OK
+def _cmd_sweep_unique(seed, args):
+    return _sweep(sweep_uniqueness(args.m, _parse_range(args.a_range), _parse_range(args.d_range),
+                                   jobs=_jobs(args), checkpoint_path=args.checkpoint), "violations")
+
+
+def _cmd_sweep_gamma6(seed, args):
+    return _sweep(sweep_gamma6(_parse_range(args.a_range), _parse_range(args.d_range),
+                               jobs=_jobs(args), checkpoint_path=args.checkpoint), "mismatches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,28 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        payload, csv_text, table_text, code = args.handler(args)
-    except UsageError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return EXIT_DOMAIN
-    except VerificationError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return EXIT_VERIFICATION
     seed = None
-    if hasattr(args, "a") and hasattr(args, "d"):
-        try:
-            seed = _seed(args)
-        except DomainError:  # already handled above; defensive
-            seed = None
+    try:
+        if hasattr(args, "a"):
+            seed = ArithmeticSeed(args.a, args.d, getattr(args, "m", None) or 5)
+        payload, code, text = args.handler(seed, args)
+    except (DomainError, VerificationError) as exc:
+        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
+        if isinstance(exc, UsageError):
+            return EXIT_USAGE
+        return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_VERIFICATION
     command = args.command + (
         f" {args.ideal_command}" if getattr(args, "ideal_command", None) else ""
     ) + (f" {args.sweep_command}" if getattr(args, "sweep_command", None) else "")
-    envelope = _envelope(command, seed, payload)
-    _render(envelope, args.format, csv_text, table_text, args.out)
+    _emit(_render(_envelope(command, seed, payload), args.format, text), args.out)
     return code
 
 

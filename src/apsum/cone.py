@@ -8,6 +8,10 @@ landing starting below row 0 ("true landing") signals a torsion summand in
 the associated graded ring.  For this family every column is a single
 landing from row 0, the cone is a free module over the fiber cone, and the
 order histogram doubles as the Hilbert series numerator.
+
+``cone_decomposition`` is the one result per seed: it builds the table once
+and keeps it, and the reduction number, Hilbert numerator, ring flags and
+JSON export are views of that decomposition.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ class AperyTable:
     seed: ArithmeticSeed
     rows: tuple[tuple[int, ...], ...]
     guard_row: tuple[int, ...]
+    orders: tuple[int, ...]  # order of each column's Apery class, 0 for column 0
 
     @property
     def top(self) -> int:
@@ -53,7 +58,7 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
     for s in range(2, top + 2):
         rows.append(tuple(v if orders[v] >= s else v + a for v in rows[-1]))
     guard = rows.pop()
-    return AperyTable(seed, tuple(rows), guard)
+    return AperyTable(seed, tuple(rows), guard, (0,) + tuple(rec.order for rec in records))
 
 
 @dataclass(frozen=True)
@@ -135,12 +140,13 @@ def landings(table: AperyTable) -> LadderAnalysis:
 
 def order_histogram(seed: ArithmeticSeed) -> list[int]:
     """t_k: number of Apery classes of each order, order 0 (the unit) included."""
-    records = apery_records(seed)
-    top = max(rec.order for rec in records)
-    counts = [0] * (top + 1)
-    counts[0] = 1
-    for rec in records:
-        counts[rec.order] += 1
+    return _histogram([0] + [rec.order for rec in apery_records(seed)])
+
+
+def _histogram(orders) -> list[int]:
+    counts = [0] * (max(orders) + 1)
+    for k in orders:
+        counts[k] += 1
     return counts
 
 
@@ -173,9 +179,14 @@ def order_histogram_closed(a: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ConeDecomposition:
-    """Free/torsion structure of the tangent cone over the fiber cone."""
+    """Free/torsion structure of the tangent cone over the fiber cone.
+
+    The one result per seed: it keeps the Apery table it was read from, and
+    every other cone invariant is a view of it.
+    """
 
     seed: ArithmeticSeed
+    table: AperyTable
     t_counts: tuple[int, ...]
     free: bool
     shifts: tuple[int, ...]  # multiset of free-summand shifts, sorted
@@ -185,10 +196,14 @@ class ConeDecomposition:
 
 
 def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
-    """Decompose the cone from the table; cross-check t_k against the closed form."""
+    """Build the table once and decompose the cone from it.
+
+    The direct t_k, counted from the table's class orders, is cross-checked
+    against the closed form.
+    """
     table = apery_table(seed)
     ladder = landings(table)
-    direct = order_histogram(seed)
+    direct = _histogram(table.orders)
     closed = order_histogram_closed(seed.a)
     if direct != closed:
         raise VerificationError(
@@ -201,6 +216,7 @@ def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
     )
     return ConeDecomposition(
         seed,
+        table,
         tuple(direct),
         ladder.free,
         shifts,
@@ -225,31 +241,25 @@ def reduction_number(seed: ArithmeticSeed) -> tuple[int, int]:
     return dec.reduction_formula, dec.reduction_computed
 
 
-@dataclass(frozen=True)
-class HilbertNumerator:
-    coefficients: tuple[int, ...]
-
-
-def hilbert_numerator(seed: ArithmeticSeed) -> HilbertNumerator:
-    """Numerator of the cone's Hilbert series over denominator (1 - x).
+def hilbert_numerator(seed: ArithmeticSeed) -> tuple[int, ...]:
+    """Coefficients of the cone's Hilbert series numerator over (1 - x).
 
     Equals the order histogram; the upper index is the maximum class order.
     """
-    return HilbertNumerator(cone_decomposition(seed).t_counts)
+    return cone_decomposition(seed).t_counts
 
 
-def ring_properties(seed: ArithmeticSeed) -> dict:
-    """Cohen-Macaulay / Gorenstein / Buchsbaum flags for the tangent cone.
+def ring_properties(dec: ConeDecomposition) -> dict:
+    """Cohen-Macaulay / Gorenstein / Buchsbaum flags of a decomposed cone.
 
     Cohen-Macaulay equals freeness; Gorenstein needs type 1 on top of that
     (never the case here, the type is at least 4); Buchsbaum follows from
     Cohen-Macaulay and is reported as "notDetermined" otherwise.
     """
-    dec = cone_decomposition(seed)
     cm = dec.free
     return {
         "cohenMacaulay": cm,
-        "gorenstein": cm and semigroup_type(seed) == 1,
+        "gorenstein": cm and semigroup_type(dec.seed) == 1,
         "buchsbaum": True if cm else "notDetermined",
     }
 
@@ -263,12 +273,10 @@ def table_to_csv(table: AperyTable) -> str:
     return "\n".join(",".join(str(v) for v in row) for row in table.rows) + "\n"
 
 
-def cone_to_json(seed: ArithmeticSeed) -> dict:
-    """JSON-ready bundle: table rows, t-vector, freeness, shifts, reduction data."""
-    table = apery_table(seed)
-    dec = cone_decomposition(seed)
+def cone_to_json(dec: ConeDecomposition) -> dict:
+    """JSON-ready view of a decomposition: table rows, t-vector, freeness, shifts, reduction data."""
     return {
-        "rows": [list(row) for row in table.rows],
+        "rows": [list(row) for row in dec.table.rows],
         "tCounts": list(dec.t_counts),
         "free": dec.free,
         "shifts": list(dec.shifts),

@@ -157,22 +157,16 @@ def apery_set_closed(seed: ArithmeticSeed) -> set[int]:
     return {0} | {rec.value for rec in apery_records(seed)}
 
 
-def minimality_check(seed: ArithmeticSeed, method: str = "auto") -> bool:
+def minimality_check(seed: ArithmeticSeed) -> bool:
     """Whether the partial sums minimally generate their semigroup.
 
     For m == 5 the closed criterion is a >= 11; other embedding dimensions
-    fall back to the membership oracle (no generator lies in the semigroup of
-    the others).  method: "auto" | "closed" | "oracle".
+    use the membership oracle (no generator lies in the semigroup of the
+    others).
     """
-    if method == "closed":
-        if seed.m != 5:
-            raise DomainError("closedFormUnavailable", "closed minimality criterion needs m == 5")
+    if seed.m == 5:
         return seed.a >= 11
-    if method == "oracle":
-        return is_minimal_generating(partial_sum_generators(seed))
-    if method == "auto":
-        return minimality_check(seed, "closed" if seed.m == 5 else "oracle")
-    raise DomainError("invalidMethod", f"unknown method {method!r}")
+    return is_minimal_generating(partial_sum_generators(seed))
 
 
 @dataclass(frozen=True)

@@ -178,12 +178,12 @@ def test_criterion_6_cone_freeness(cones):
         assert analysis.free, (a, d)
         assert all(not col.torsion for col in analysis.columns), (a, d)
         assert dec.free
-        props = ring_properties(seed)
+        props = ring_properties(dec)
         assert props["cohenMacaulay"] is True
         assert props["gorenstein"] is False
         assert props["buchsbaum"] is True
         assert pseudo_frobenius_set(seed).type_count >= 4
-        assert hilbert_numerator(seed).coefficients == dec.t_counts
+        assert hilbert_numerator(seed) == dec.t_counts
     _report("6", f"no true landings, CM, never Gorenstein, Hilbert = t-vector on {len(cones)} seeds",
             time.perf_counter() - start)
 

@@ -1,10 +1,13 @@
 """CLI surface: envelopes, formats, exit codes."""
 
 import argparse
+import csv
 import json
 
 import pytest
 
+import apsum.cli
+import apsum.cone
 from apsum.cli import _jobs, main
 from apsum.ideal import GastingerReport
 
@@ -64,6 +67,33 @@ def test_table_csv_matches_export(capsys):
     assert len(lines) == 4
     assert lines[0] == "0,24,48,39,63,87,56,80,104,95,75"
     assert all(len(line.split(",")) == 11 for line in lines)
+
+
+@pytest.mark.parametrize("command", [["apery"], ["ideal", "list"]])
+def test_csv_rows_match_header_width(capsys, command):
+    code, out, _ = run(capsys, *command, "--a", "23", "--d", "1", "--format", "csv")
+    assert code == 0
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+    payload = json.loads(run(capsys, *command, "--a", "23", "--d", "1")[1])["payload"]
+    assert [json.loads(row[-1]) for row in rows] == [record[header[-1]] for record in payload]
+
+
+@pytest.mark.parametrize("command", ["cone", "hilbert", "table"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_one_apery_table_per_query(capsys, monkeypatch, command, fmt):
+    build, builds = apsum.cone.apery_table, []
+
+    def counting(seed):
+        builds.append(seed)
+        return build(seed)
+
+    for module in (apsum.cone, apsum.cli):
+        monkeypatch.setattr(module, "apery_table", counting)
+    code, _, _ = run(capsys, command, "--a", "137", "--d", "4", "--format", fmt)
+    assert code == 0
+    assert len(builds) == 1
 
 
 def test_domain_error_exit_code(capsys):

@@ -14,6 +14,7 @@ from apsum import (
     apery_set_conjectured6,
     apery_values,
     canonical_expansion,
+    is_minimal_generating,
     membership,
     minimality_check,
     order_oracle,
@@ -118,7 +119,7 @@ def test_minimality_examples():
     for d in (1, 2, 5, 12):
         assert minimality_check(ArithmeticSeed(11, d))
     assert not minimality_check(ArithmeticSeed(10, 3))
-    assert not minimality_check(ArithmeticSeed(10, 3), method="oracle")  # 80 = 8 * 10
+    assert not is_minimal_generating(partial_sum_generators(ArithmeticSeed(10, 3)))  # 80 = 8 * 10
 
 
 def test_minimality_closed_form_agrees_with_oracle():
@@ -127,7 +128,7 @@ def test_minimality_closed_form_agrees_with_oracle():
             if gcd(a, d) != 1:
                 continue
             seed = ArithmeticSeed(a, d)
-            assert minimality_check(seed, "closed") == minimality_check(seed, "oracle"), (a, d)
+            assert minimality_check(seed) == is_minimal_generating(partial_sum_generators(seed)), (a, d)
 
 
 def test_uniqueness_examples():
