@@ -16,7 +16,6 @@ from .cone import (
     cone_to_json,
     hilbert_numerator,
     landings,
-    order_histogram,
     order_histogram_closed,
     reduction_number,
     ring_properties,

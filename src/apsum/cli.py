@@ -9,9 +9,10 @@ non-member, ...), 4 verification failure (dimension check or cross-check).
 subcommand's handler.  A handler computes its result once and returns
 (payload, exit code, text), where text maps "csv" or "table" to a
 zero-argument renderer for a format the payload cannot render generically.
-Only the requested format is rendered: json is the envelope; csv is one row
-per record of a list payload, or a header and one row for a dict of scalars,
-else the payload as JSON; table is one "key: value" line per field.
+Only the requested format is rendered: json is the envelope; csv is a header
+plus one row per record of a list payload, or one row for a dict payload,
+with list and dict cells written as JSON; table is one "key: value" line per
+field.
 """
 
 from __future__ import annotations
@@ -86,16 +87,17 @@ def _render(envelope: dict, fmt: str, text: dict) -> str:
 
 
 def _csv(payload) -> str:
-    if isinstance(payload, dict) and not any(isinstance(v, (list, dict)) for v in payload.values()):
-        payload = [payload]
-    if not (isinstance(payload, list) and payload and isinstance(payload[0], dict)):
-        return json.dumps(payload) + "\n"
-    keys = list(payload[0])
+    records = [payload] if isinstance(payload, dict) else payload
+    keys = list(records[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys)
-    writer.writerows([str(row.get(k, "")) for k in keys] for row in payload)
+    writer.writerows([_cell(row[k]) for k in keys] for row in records)
     return buf.getvalue()
+
+
+def _cell(value) -> str:
+    return json.dumps(value) if isinstance(value, (list, dict)) else str(value)
 
 
 class UsageError(DomainError):

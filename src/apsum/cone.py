@@ -138,12 +138,8 @@ def landings(table: AperyTable) -> LadderAnalysis:
     return LadderAnalysis(tuple(cols))
 
 
-def order_histogram(seed: ArithmeticSeed) -> list[int]:
-    """t_k: number of Apery classes of each order, order 0 (the unit) included."""
-    return _histogram([0] + [rec.order for rec in apery_records(seed)])
-
-
 def _histogram(orders) -> list[int]:
+    """t_k: number of classes of each order k."""
     counts = [0] * (max(orders) + 1)
     for k in orders:
         counts[k] += 1

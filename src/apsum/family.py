@@ -22,7 +22,7 @@ from .errors import DomainError
 from .oracle import (
     apery_oracle,
     is_minimal_generating,
-    representation_count,
+    representation_counts,
     representations,
     validate_generators,
 )
@@ -75,18 +75,32 @@ def radix_digits(n: int) -> RadixDigits:
     return RadixDigits(q3, r3, q2, r2, q1, r1)
 
 
-def apery_multiplier(n: int) -> int:
-    """Coefficient of a in the least class member: digit-weighted count.
+def canonical_expansion(n: int) -> tuple[int, int, int, int]:
+    """Coefficients (c2, c3, c4, c5) on the non-multiplicity generators.
 
-    Weights are (2, 3, 4, 5) on (r1, q1, q2, q3), with one unit rebate when
-    r1 == 2 and q3 > 0 (the expansion then trades two degree-2 generators and
-    one degree-5 generator for two degree-4 ones).
+    Generic digits give (r1, q1, q2, q3); when r1 == 2 and q3 > 0 the
+    rewritten form (0, q1, q2 + 2, q3 - 1) trades two degree-2 generators and
+    one degree-5 generator for two degree-4 ones, which lowers the degree
+    (the multiplier of a) by one.
     """
     dig = radix_digits(n)
-    m = 2 * dig.r1 + 3 * dig.q1 + 4 * dig.q2 + 5 * dig.q3
     if dig.r1 == 2 and dig.q3 > 0:
-        m -= 1
-    return m
+        return (0, dig.q1, dig.q2 + 2, dig.q3 - 1)
+    return (dig.r1, dig.q1, dig.q2, dig.q3)
+
+
+def _degree(expansion: tuple[int, int, int, int]) -> int:
+    # generator k is k*a + (k choose 2)*d, so its coefficient of a is k
+    c2, c3, c4, c5 = expansion
+    return 2 * c2 + 3 * c3 + 4 * c4 + 5 * c5
+
+
+def apery_multiplier(n: int) -> int:
+    """Coefficient of a in the least class member.
+
+    The (2, 3, 4, 5)-weighted degree of ``canonical_expansion(n)``.
+    """
+    return _degree(canonical_expansion(n))
 
 
 @dataclass(frozen=True)
@@ -107,19 +121,6 @@ def apery_values(seed: ArithmeticSeed, n: int) -> AperyValues:
     return AperyValues(mult, value, value - seed.a)
 
 
-def canonical_expansion(n: int) -> tuple[int, int, int, int]:
-    """Coefficients (c2, c3, c4, c5) on the non-multiplicity generators.
-
-    Generic digits give (r1, q1, q2, q3); when r1 == 2 and q3 > 0 the
-    rewritten form (0, q1, q2 + 2, q3 - 1) is the one whose weighted sum
-    matches the multiplier rebate.
-    """
-    dig = radix_digits(n)
-    if dig.r1 == 2 and dig.q3 > 0:
-        return (0, dig.q1, dig.q2 + 2, dig.q3 - 1)
-    return (dig.r1, dig.q1, dig.q2, dig.q3)
-
-
 @dataclass(frozen=True)
 class AperyRecord:
     """One Apery class of the five-generator semigroup."""
@@ -132,23 +133,32 @@ class AperyRecord:
     expansion: tuple[int, int, int, int]
 
 
-def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
-    """Closed-form Apery set of the five-generator semigroup, classes 1..a-1.
+def require_closed_form(seed: ArithmeticSeed) -> None:
+    """Refuse seeds the five-generator closed forms do not cover.
 
-    Requires m == 5 and a >= 11 (below that the generators are not minimal
-    and the formula has no backing); fails loudly otherwise.
+    They need m == 5 and a >= 11: below that the generators are not minimal
+    and the formulas have no backing.
     """
     if seed.m != 5:
         raise DomainError("closedFormUnavailable", f"closed form needs m == 5, got m == {seed.m}")
     if seed.a < 11:
         raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
+
+
+def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
+    """Closed-form Apery set of the five-generator semigroup, classes 1..a-1.
+
+    Each class is expanded once; its multiplier, value, gap and order are
+    read off that expansion.  Fails loudly outside ``require_closed_form``.
+    """
+    require_closed_form(seed)
+    a, d = seed.a, seed.d
     records = []
-    for n in range(1, seed.a):
-        vals = apery_values(seed, n)
+    for n in range(1, a):
         exp = canonical_expansion(n)
-        records.append(
-            AperyRecord(n, vals.multiplier, vals.value, vals.gap, sum(exp), exp)
-        )
+        mult = _degree(exp)
+        value = mult * a + n * d
+        records.append(AperyRecord(n, mult, value, value - a, sum(exp), exp))
     return records
 
 
@@ -192,12 +202,7 @@ def uniqueness_check(gens, c: int) -> UniquenessReport:
     g = validate_generators(gens)
     ap = apery_oracle(g, c)
     expansion_gens = tuple(x for x in g if x != c)
-    top = max(ap)
-    counts = [0] * (top + 1)
-    counts[0] = 1
-    for x in expansion_gens:
-        for v in range(x, top + 1):
-            counts[v] += counts[v - x]
+    counts = representation_counts(expansion_gens, max(ap))
     violations = []
     for w in sorted(set(ap)):
         if counts[w] != 1:

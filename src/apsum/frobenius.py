@@ -3,7 +3,7 @@
 Valid for the five-generator family with a >= 11.  For a >= 20 the
 pseudo-Frobenius gaps sit at fixed index offsets below a that depend only on
 a mod 10, plus the two fixed classes 5 and 8.  For 11 <= a <= 19 explicit
-per-a lists apply, and the Frobenius pick depends on how d compares with a.
+per-a lists apply.  The Frobenius number is the largest pseudo-Frobenius gap.
 Every table here is verified against the brute-force oracle over the
 acceptance grid.
 """
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .family import ArithmeticSeed, apery_values
+from .family import ArithmeticSeed, apery_values, require_closed_form
 
 # Index offsets i such that gap(a - i) is pseudo-Frobenius, keyed by a mod 10
 # (a >= 20).  Offset 7 is absent for residue 3: gap(a-1) - gap(a-7) equals
@@ -44,10 +43,6 @@ PF_INDICES_SMALL_A = {
     19: (14, 15, 17, 18, 5, 8),
 }
 
-# For a >= 20 the Frobenius gap is gap(a-1) except at residues 1 and 7, where
-# a - 1 has a smaller multiplier than a - 2 (its top radix digit resets).
-DEEP_FROBENIUS_RESIDUES = frozenset({1, 7})
-
 
 @dataclass(frozen=True)
 class PFResult:
@@ -59,16 +54,9 @@ class PFResult:
     source_path: str  # "largeA" | "smallA"
 
 
-def _require_dim5(seed: ArithmeticSeed) -> None:
-    if seed.m != 5:
-        raise DomainError("closedFormUnavailable", f"closed form needs m == 5, got m == {seed.m}")
-    if seed.a < 11:
-        raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
-
-
 def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
     """Closed-form pseudo-Frobenius data of the five-generator semigroup."""
-    _require_dim5(seed)
+    require_closed_form(seed)
     a = seed.a
     if a >= 20:
         indices = [a - i for i in PF_OFFSETS_BY_RESIDUE[a % 10]] + [5, 8]
@@ -81,41 +69,8 @@ def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
 
 
 def frobenius_number(seed: ArithmeticSeed) -> int:
-    """Closed-form Frobenius number of the five-generator semigroup.
-
-    The small-a conditions are strict inequalities; their boundaries cannot
-    occur for coprime seeds, which is asserted rather than assumed.
-    """
-    _require_dim5(seed)
-    a, d = seed.a, seed.d
-
-    def gap(n: int) -> int:
-        return apery_values(seed, n).gap
-
-    if a >= 20:
-        offset = 2 if a % 10 in DEEP_FROBENIUS_RESIDUES else 1
-        return gap(a - offset)
-    if a == 11:
-        if d < a:
-            return gap(8)
-        if a < d < 2 * a:
-            return gap(9)
-        if d > 2 * a:
-            return gap(10)
-        raise DomainError("caseBoundary", f"(a, d) = ({a}, {d}) hits a case boundary")
-    if a == 12:
-        if a > 3 * d:
-            return gap(8)
-        if a < 3 * d:
-            return gap(11)
-        raise DomainError("caseBoundary", f"(a, d) = ({a}, {d}) hits a case boundary")
-    if a == 17:
-        if 2 * a > d:
-            return gap(15)
-        if 2 * a < d:
-            return gap(16)
-        raise DomainError("caseBoundary", f"(a, d) = ({a}, {d}) hits a case boundary")
-    return gap({13: 12, 14: 13, 15: 14, 16: 15, 18: 17, 19: 18}[a])
+    """Closed-form Frobenius number: the largest pseudo-Frobenius gap."""
+    return pseudo_frobenius_set(seed).frobenius
 
 
 def semigroup_type(seed: ArithmeticSeed) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import DomainError
-from .family import ArithmeticSeed, partial_sum_generators
+from .family import ArithmeticSeed, partial_sum_generators, require_closed_form
 
 Exponents = tuple[int, ...]
 
@@ -283,11 +283,8 @@ def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[Bin
     a == 21, producing the variant that fails the dimension check (kept so
     the verifier can record the adjudication).
     """
+    require_closed_form(seed)
     a, d = seed.a, seed.d
-    if seed.m != 5:
-        raise DomainError("closedFormUnavailable", f"catalogs need m == 5, got m == {seed.m}")
-    if a < 11:
-        raise DomainError("belowMinimalityThreshold", f"catalogs need a >= 11, got a == {a}")
     q, r = divmod(a, 10)
     items: list[tuple[str, tuple[Exponents, Exponents]]] = []
     if 11 <= a <= 18:
@@ -568,20 +565,14 @@ def gastinger_verify(seed: ArithmeticSeed, order: str = "grevlex") -> GastingerR
     variant = None
     adjudication = None
     if (a, seed.d) in ((21, 1), (21, 2)):
-        strict_dim = quotient_dimension(generator_catalog(seed, strict_21=True), order)
-        augmented_dim = quotient_dimension(generator_catalog(seed), order)
-        strict_ok = strict_dim == a
-        augmented_ok = augmented_dim == a
-        variant = "strict" if strict_ok and not augmented_ok else "withCore"
-        adjudication = {
-            "strict": strict_dim,
-            "withCore": augmented_dim,
-            "selected": variant,
-        }
-        catalog = generator_catalog(seed, strict_21=(variant == "strict"))
+        catalogs = {"strict": generator_catalog(seed, strict_21=True), "withCore": generator_catalog(seed)}
+        dims = {name: quotient_dimension(cat, order) for name, cat in catalogs.items()}
+        variant = "strict" if dims["strict"] == a and dims["withCore"] != a else "withCore"
+        adjudication = {**dims, "selected": variant}
+        catalog, dim = catalogs[variant], dims[variant]
     else:
         catalog = generator_catalog(seed)
-    dim = quotient_dimension(catalog, order)
+        dim = quotient_dimension(catalog, order)
     drop = {}
     for i, b in enumerate(catalog):
         sub = catalog[:i] + catalog[i + 1 :]

@@ -166,16 +166,19 @@ def is_minimal_generating(gens) -> bool:
     return True
 
 
-def representation_count(value: int, gens) -> int:
-    """Number of distinct coefficient vectors on gens summing to value."""
-    if value < 0:
-        return 0
-    counts = [0] * (value + 1)
+def representation_counts(gens, limit: int) -> list[int]:
+    """Number of distinct coefficient vectors on gens summing to each of 0..limit."""
+    counts = [0] * (limit + 1)
     counts[0] = 1
     for g in gens:
-        for v in range(g, value + 1):
+        for v in range(g, limit + 1):
             counts[v] += counts[v - g]
-    return counts[value]
+    return counts
+
+
+def representation_count(value: int, gens) -> int:
+    """Number of distinct coefficient vectors on gens summing to value."""
+    return representation_counts(gens, value)[value] if value >= 0 else 0
 
 
 def representations(value: int, gens) -> list[tuple[int, ...]]:

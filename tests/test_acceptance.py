@@ -58,8 +58,8 @@ def cones():
     """Tables and decompositions for the main grid, shared across criteria."""
     out = {}
     for a, d in GRID_MAIN:
-        seed = ArithmeticSeed(a, d)
-        out[(a, d)] = (apery_table(seed), cone_decomposition(seed))
+        dec = cone_decomposition(ArithmeticSeed(a, d))
+        out[(a, d)] = (dec.table, dec)
     return out
 
 

@@ -69,15 +69,46 @@ def test_table_csv_matches_export(capsys):
     assert all(len(line.split(",")) == 11 for line in lines)
 
 
-@pytest.mark.parametrize("command", [["apery"], ["ideal", "list"]])
-def test_csv_rows_match_header_width(capsys, command):
-    code, out, _ = run(capsys, *command, "--a", "23", "--d", "1", "--format", "csv")
+SEED_23_1 = ["--a", "23", "--d", "1"]
+SWEEP_GRID = ["--a-range", "16:17", "--d-range", "1:2", "--jobs", "1"]
+
+
+@pytest.mark.parametrize("command", [
+    ["apery", *SEED_23_1],
+    ["ideal", "list", *SEED_23_1],
+    ["info", *SEED_23_1],
+    ["info", "--m", "6", *SEED_23_1],
+    ["apery", "--oracle", *SEED_23_1],
+    ["frobenius", *SEED_23_1],
+    ["frobenius", "--oracle", *SEED_23_1],
+    ["pf", *SEED_23_1],
+    ["pf", "--oracle", *SEED_23_1],
+    ["order", "--value", "119", *SEED_23_1],
+    ["ideal", "list", "--strict-21", *SEED_23_1],
+    ["ideal", "verify", *SEED_23_1],
+    ["table", *SEED_23_1],
+    ["cone", *SEED_23_1],
+    ["hilbert", *SEED_23_1],
+    ["sweep", "unique", "--m", "5", *SWEEP_GRID],
+    ["sweep", "gamma6", *SWEEP_GRID],
+])
+def test_csv_rows_match_header_width(capsys, tmp_path, command):
+    if command[0] == "sweep":  # the second run reuses the records, timings included
+        command = [*command, "--checkpoint", str(tmp_path / "sweep.jsonl")]
+    code, out, _ = run(capsys, *command, "--format", "csv")
     assert code == 0
     header, *rows = list(csv.reader(out.splitlines()))
     assert rows
     assert all(len(row) == len(header) for row in rows)
-    payload = json.loads(run(capsys, *command, "--a", "23", "--d", "1")[1])["payload"]
-    assert [json.loads(row[-1]) for row in rows] == [record[header[-1]] for record in payload]
+    if command[0] == "table":
+        return  # the bare matrix, checked by test_table_csv_matches_export
+    payload = json.loads(run(capsys, *command)[1])["payload"]
+    records = payload if isinstance(payload, list) else [payload]
+    assert sorted(header) == sorted(records[0]) and len(rows) == len(records)
+    for row, record in zip(rows, records):
+        for key, cell in zip(header, row):
+            if isinstance(record[key], (list, dict)):
+                assert json.loads(cell) == record[key]
 
 
 @pytest.mark.parametrize("command", ["cone", "hilbert", "table"])

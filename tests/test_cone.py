@@ -9,7 +9,6 @@ from apsum import (
     cone_to_json,
     hilbert_numerator,
     landings,
-    order_histogram,
     order_histogram_closed,
     reduction_number,
     ring_properties,
@@ -63,7 +62,7 @@ def test_landings_11_2():
 
 
 def test_order_histograms():
-    assert order_histogram(SEED_11_2) == [1, 4, 4, 2]
+    assert cone_decomposition(SEED_11_2).t_counts == (1, 4, 4, 2)
     assert order_histogram_closed(11) == [1, 4, 4, 2]
     assert order_histogram_closed(23) == [1, 4, 9, 9]
     assert order_histogram_closed(20) == [1, 4, 8, 7]

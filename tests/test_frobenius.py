@@ -3,10 +3,14 @@
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apsum import (
     ArithmeticSeed,
     DomainError,
+    apery_oracle,
+    apery_set_closed,
     frobenius_number,
     frobenius_oracle,
     partial_sum_generators,
@@ -45,6 +49,9 @@ def test_residue6_type():
         (17, 35, 696),  # d > 2a picks index 16: 9*17 + 16*35 - 17
         (12, 1, 92),
         (23, 1, 298),
+        (21, 43, 1049),  # d > 2a at a = 1 mod 10: the top class carries F
+        (27, 55, 1781),
+        (37, 75, 3366),
     ],
 )
 def test_frobenius_examples(a, d, expected):
@@ -58,9 +65,10 @@ def test_below_threshold_rejected():
 
 
 def test_deep_frobenius_residues():
-    # at residues 1 and 7 the top class loses a radix digit and the
-    # second-to-top class carries the Frobenius number
-    for a, d in ((21, 1), (27, 2), (31, 4), (37, 1)):
+    # at residues 1 and 7 the top class loses a radix digit; the
+    # second-from-top class carries the Frobenius number when d < 2a, and
+    # the top class does once d > 2a
+    for a, d in ((21, 1), (27, 2), (31, 4), (37, 1), (21, 43), (31, 63)):
         seed = ArithmeticSeed(a, d)
         assert frobenius_number(seed) == frobenius_oracle(partial_sum_generators(seed))
 
@@ -77,3 +85,15 @@ def test_closed_forms_match_oracle_on_grid():
             assert frobenius_number(seed) == frobenius_oracle(gens), (a, d)
             assert res.frobenius == max(res.pf)
             assert frobenius_number(seed) in res.pf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(11, 1500).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, 40 * a))))
+def test_closed_forms_match_oracle_at_random_large_d(seed_pair):
+    a, d = seed_pair
+    assume(gcd(a, d) == 1)
+    seed = ArithmeticSeed(a, d)
+    gens = partial_sum_generators(seed)
+    assert apery_set_closed(seed) == set(apery_oracle(gens, a))
+    assert pseudo_frobenius_set(seed).pf == pseudo_frobenius_oracle(gens)
+    assert frobenius_number(seed) == frobenius_oracle(gens)
