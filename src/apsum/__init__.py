@@ -57,7 +57,6 @@ from .ideal import (
     gastinger_verify,
     generator_catalog,
     homogeneity_check,
-    minimalize_monomials,
     quotient_basis,
     quotient_dimension,
     standard_monomial_count,

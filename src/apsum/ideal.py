@@ -5,8 +5,9 @@ binomials x^u - x^v with equal weighted degree (x_i weighted by s_i).  This
 module carries the explicit catalogs for every admissible seed and verifies
 them by a dimension count: adjoin x1, pass to the quotient k[x2..x5], run
 Buchberger on the surviving monomials/binomials, and count standard
-monomials.  The catalog generates the full defining ideal iff that count
-equals a, and it is minimal iff every drop-one variant fails the count.
+monomials by a walk along the staircase of the leading monomials, in runs
+along the last variable.  The catalog generates the full defining ideal iff
+that count equals a, and it is minimal iff every drop-one variant fails it.
 
 The Buchberger engine handles exactly the closed fragment it needs: monic
 monomials and monic binomials, which S-pairs and reduction preserve.
@@ -451,53 +452,55 @@ def buchberger(polys: Iterable[Poly | None], order: str = "grevlex") -> Groebner
     return GroebnerBasis(tuple(basis), order)
 
 
-def minimalize_monomials(monomials: Iterable[Exponents]) -> list[Exponents]:
-    """Antichain of the given monomials under divisibility."""
-    out: list[Exponents] = []
-    for m in sorted(set(monomials), key=sum):
-        if not any(_divide(m, g) is not None for g in out):
-            out.append(m)
-    return out
+def _staircase(basis: Iterable[Exponents], nvars: int) -> list[tuple[Exponents, int]] | None:
+    """Standard monomials of the monomial ideal as lex-ordered runs, or None
+    when there are infinitely many.
+
+    A run (prefix, n) stands for prefix + (v,), v < n.  The walk visits the
+    prefixes outside the ideal, carrying the generators that divide each one.
+    Coordinate i stops at the first value where a surviving generator has no
+    support right of i, since that subtree and every later one lie in the
+    ideal; at the last coordinate that value is the run length.  No such
+    generator means x_i is unbounded there.  Any generating set works, and a
+    constant generator stops the walk at once: k[x]/(1) = 0.
+    """
+    last = nvars - 1
+    # each generator with the index of its last nonzero exponent (-1 for 1)
+    tagged = [(g, max((i for i, e in enumerate(g) if e), default=-1)) for g in basis]
+    runs: list[tuple[Exponents, int]] = []
+
+    def walk(prefix: Exponents, alive: list) -> bool:
+        i = len(prefix)
+        ends = [g[i] for g, t in alive if t <= i]
+        if not ends:
+            return False
+        n = min(ends)
+        if i == last:
+            runs.append((prefix, n))
+            return True
+        for v in range(n):
+            if not walk(prefix + (v,), [gt for gt in alive if gt[0][i] <= v]):
+                return False
+        return True
+
+    return runs if walk((), tagged) else None
 
 
 def standard_monomials(basis: Iterable[Exponents], nvars: int) -> list[Exponents] | None:
-    """Monomials outside the monomial ideal, or None when they are infinite.
+    """Monomials outside the monomial ideal in lex order, or None when infinite.
 
-    Finitely many iff every variable carries a pure-power generator; the
-    survivors then live in the box bounded by those pure powers.
+    The staircase walk yields them as runs along the last variable, so the
+    cost is proportional to the prefixes outside the ideal, not to the box
+    bounded by the pure powers.
     """
-    gens = minimalize_monomials(basis)
-    bounds: list[int | None] = [None] * nvars
-    for m in gens:
-        support = [i for i, e in enumerate(m) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
-        return None
-    out: list[Exponents] = []
-    exps = [0] * nvars
-
-    def rec(i: int) -> None:
-        if i == nvars:
-            e = tuple(exps)
-            if not any(_divide(e, g) is not None for g in gens):
-                out.append(e)
-            return
-        for v in range(bounds[i]):
-            exps[i] = v
-            rec(i + 1)
-        exps[i] = 0
-
-    rec(0)
-    return out
+    runs = _staircase(basis, nvars)
+    return None if runs is None else [prefix + (v,) for prefix, n in runs for v in range(n)]
 
 
 def standard_monomial_count(basis: Iterable[Exponents], nvars: int):
     """Number of monomials outside the monomial ideal, or INFINITE."""
-    monomials = standard_monomials(basis, nvars)
-    return INFINITE if monomials is None else len(monomials)
+    runs = _staircase(basis, nvars)
+    return INFINITE if runs is None else sum(n for _, n in runs)
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +526,12 @@ def _quotient_polys(catalog: Iterable[BinomialGenerator], key) -> list[Poly]:
     return polys
 
 
+def _leading_monomials(catalog: Iterable[BinomialGenerator], order: str) -> list[Exponents]:
+    """Leading monomials of a Groebner basis of the catalog's image in k[x2..x5]."""
+    gb = buchberger(_quotient_polys(catalog, MONOMIAL_ORDERS[order]), order)
+    return [leading_monomial(p) for p in gb.elements]
+
+
 def quotient_basis(catalog: Iterable[BinomialGenerator], order: str = "grevlex") -> list[Exponents] | None:
     """Monomial basis of k[x1..x5] / (catalog + (x1)), in x2..x5 exponents.
 
@@ -530,15 +539,12 @@ def quotient_basis(catalog: Iterable[BinomialGenerator], order: str = "grevlex")
     generates the full defining ideal, these monomials map bijectively onto
     the Apery set through the weighted degree.
     """
-    key = MONOMIAL_ORDERS[order]
-    gb = buchberger(_quotient_polys(catalog, key), order)
-    return standard_monomials([leading_monomial(p) for p in gb.elements], 4)
+    return standard_monomials(_leading_monomials(catalog, order), 4)
 
 
 def quotient_dimension(catalog: Iterable[BinomialGenerator], order: str = "grevlex"):
     """dim_k of k[x1..x5] / (catalog + (x1)): standard monomial count in x2..x5."""
-    basis = quotient_basis(catalog, order)
-    return INFINITE if basis is None else len(basis)
+    return standard_monomial_count(_leading_monomials(catalog, order), 4)
 
 
 @dataclass(frozen=True)

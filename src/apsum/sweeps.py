@@ -5,6 +5,8 @@ Verdicts are data, never assertions: a violation or mismatch is recorded
 with its witness and the sweep keeps going.  Grids run in a stable order
 (ascending a, then d), optionally fanned out over processes, with an
 append-only JSONL checkpoint that survives truncation of its final line.
+A checkpoint opens with a header line naming its sweep kind and m; a sweep
+refuses a non-empty checkpoint with a missing or different header.
 """
 
 from __future__ import annotations
@@ -101,8 +103,10 @@ def _gamma6_task(task: tuple[int, int, int]) -> dict:
 
 @dataclass
 class CheckpointCursor:
-    """Resume state: completed records, valid line count, first corrupt line."""
+    """Resume state: header, completed records, valid line count (header
+    included), first corrupt line."""
 
+    header: dict | None = None  # {"checkpoint": kind, "m": m}
     completed: dict = field(default_factory=dict)  # (a, d, m) -> record
     valid_lines: int = 0
     corrupt_line: int | None = None
@@ -112,8 +116,9 @@ class CheckpointCursor:
 def resume(path: str) -> CheckpointCursor:
     """Scan a JSONL checkpoint, stopping at the first corrupt line.
 
-    The cursor's byte_offset marks the end of the last valid record, so a
-    writer can truncate a damaged tail and continue appending.
+    Line 1 is the header; a first line without one counts as corrupt.  The
+    cursor's byte_offset marks the end of the last valid line, so a writer
+    can truncate a damaged tail and continue appending.
     """
     cursor = CheckpointCursor()
     if not os.path.exists(path):
@@ -121,14 +126,19 @@ def resume(path: str) -> CheckpointCursor:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                record = json.loads(raw.decode("utf-8"))
-                key = (record["a"], record["d"], record["m"])
-                if "verdict" not in record or not raw.endswith(b"\n"):
-                    raise ValueError("incomplete record")
-            except Exception:
+                entry = json.loads(raw.decode("utf-8"))
+                if not raw.endswith(b"\n"):
+                    raise ValueError("incomplete line")
+                if lineno == 1:
+                    cursor.header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
+                else:
+                    key = (entry["a"], entry["d"], entry["m"])
+                    if "verdict" not in entry:
+                        raise ValueError("incomplete record")
+                    cursor.completed[key] = entry
+            except (ValueError, KeyError, TypeError):
                 cursor.corrupt_line = lineno
                 break
-            cursor.completed[key] = record
             cursor.valid_lines += 1
             cursor.byte_offset += len(raw)
     return cursor
@@ -179,11 +189,17 @@ def _run_sweep(kind, worker, m, a_range, d_range, jobs, checkpoint_path) -> Swee
     cursor = CheckpointCursor()
     out = None
     if checkpoint_path:
+        header = {"checkpoint": kind, "m": m}
         cursor = resume(checkpoint_path)
+        if cursor.header != header and (cursor.valid_lines or cursor.corrupt_line is not None):
+            found = cursor.header or "no header"
+            raise DomainError("checkpointMismatch", f"{checkpoint_path} holds {found}, not {header}")
         if cursor.corrupt_line is not None:
             with open(checkpoint_path, "ab") as fh:
                 fh.truncate(cursor.byte_offset)
         out = open(checkpoint_path, "ab")
+        if cursor.header is None:
+            out.write(_record_line(header).encode("utf-8"))
     try:
         records = []
         pending = [(m, a, d) for (a, d) in grid if (a, d, m) not in cursor.completed]

@@ -159,6 +159,19 @@ def test_criterion_4_gastinger_grid():
             time.perf_counter() - start)
 
 
+def test_gastinger_to_a1000():
+    start = time.perf_counter()
+    seeds = log_spaced_seeds(60, 1000, 60, 15)
+    assert len(set(seeds)) == 60 and max(a for a, _ in seeds) == 1000
+    assert {a % 10 for a, _ in seeds} == set(range(10))  # every residue family
+    for a, d in seeds:
+        report = gastinger_verify(ArithmeticSeed(a, d))
+        assert report.dimension == a, (a, d, report.dimension)
+        assert report.passed and report.minimal, (a, d, report.drop_one_dims)
+    _report("4", f"dimension = a and drop-one minimality on {len(seeds)} log-spaced seeds "
+            "(60<a<=1000, d<=15)", time.perf_counter() - start)
+
+
 def test_criterion_5_order_histogram(cones):
     start = time.perf_counter()
     for (a, d), (_, dec) in cones.items():

@@ -174,7 +174,17 @@ def test_sweep_unique_cli(capsys, tmp_path):
     payload = json.loads(out)["payload"]
     assert len(payload["records"]) == 6
     assert payload["counterexamples"] == []
-    assert len(path.read_text().splitlines()) == 6
+    assert len(path.read_text().splitlines()) == 1 + 6
+
+
+def test_sweep_checkpoint_of_another_kind_exits_3(capsys, tmp_path):
+    path = str(tmp_path / "g6.jsonl")
+    grid = ("--a-range", "16:17", "--d-range", "1:2", "--jobs", "1", "--checkpoint", path)
+    assert run(capsys, "sweep", "gamma6", *grid)[0] == 0
+    code, out, err = run(capsys, "sweep", "unique", "--m", "6", *grid)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "checkpointMismatch"
 
 
 def test_sweep_gamma6_cli(capsys):

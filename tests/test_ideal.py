@@ -1,8 +1,11 @@
 """Catalogs, the Buchberger engine, standard monomials, dimension checks."""
 
+from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apsum import (
     INFINITE,
@@ -15,10 +18,11 @@ from apsum import (
     generator_catalog,
     homogeneity_check,
     membership,
-    minimalize_monomials,
     partial_sum_generators,
+    quotient_basis,
     quotient_dimension,
     standard_monomial_count,
+    standard_monomials,
 )
 from apsum.ideal import binomial, grevlex_key, monomial, residue_family
 
@@ -150,9 +154,66 @@ def test_standard_monomials_infinite():
     assert standard_monomial_count([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 4) is INFINITE
 
 
-def test_minimalize_monomials_antichain():
-    out = minimalize_monomials([(2, 0), (1, 0), (1, 1), (0, 3)])
-    assert sorted(out) == [(0, 3), (1, 0)]
+def test_unit_ideal_has_no_standard_monomials():
+    # k[x]/(1) = 0, with or without other generators beside the constant
+    assert standard_monomial_count([(0, 0, 0, 0)], 4) == 0
+    assert standard_monomials([(0, 0)], 2) == []
+    assert standard_monomial_count([(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)], 3) == 0
+    assert standard_monomials([(0, 1), (0, 0)], 2) == []
+
+
+# ----------------------------------------------------------------------
+# differential check against the box enumeration
+# ----------------------------------------------------------------------
+
+def _is_power_of(g, i):
+    return g[i] > 0 and sum(map(bool, g)) == 1
+
+
+def box_standard_monomials(basis, nvars):
+    """Reference: every point of the box bounded by the smallest pure powers
+    that no generator divides, in lex order; None when some variable has no
+    pure power."""
+    bounds = [min((g[i] for g in basis if _is_power_of(g, i)), default=None) for i in range(nvars)]
+    if None in bounds:
+        return None
+    return [
+        e for e in product(*(range(b) for b in bounds))
+        if not any(all(x >= y for x, y in zip(e, g)) for g in basis)
+    ]
+
+
+@st.composite
+def monomial_sets(draw):
+    """Generating sets in 1-5 variables: random monomials plus a pure power
+    per variable, sometimes with non-minimal and duplicated generators, a
+    variable left without its pure power (infinite quotient) or the
+    constant."""
+    nvars = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars).filter(any), max_size=8))
+    gens += [tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+    for g in draw(st.lists(st.sampled_from(gens), max_size=4)):
+        gens.append(tuple(e + draw(st.integers(0, 1)) for e in g))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, nvars - 1))
+        gens = [g for g in gens if not _is_power_of(g, i)]
+    if draw(st.integers(0, 7)) == 0:
+        gens.append((0,) * nvars)
+    return draw(st.permutations(gens)), nvars
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_sets())
+def test_staircase_matches_box_enumeration(case):
+    basis, nvars = case
+    listed = standard_monomials(basis, nvars)
+    count = standard_monomial_count(basis, nvars)
+    if (0,) * nvars in basis:
+        assert listed == [] and count == 0
+        return
+    expected = box_standard_monomials(basis, nvars)
+    assert listed == expected
+    assert count == (INFINITE if expected is None else len(expected))
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +242,24 @@ def test_gastinger_21_adjudication():
     assert report.passed and report.minimal
 
 
+@pytest.mark.parametrize("a, d, strict", [(11, 2, False), (21, 1, False), (21, 1, True),
+                                          (23, 1, False), (137, 4, False)])
+def test_quotient_dimension_counts_the_basis(a, d, strict):
+    catalog = generator_catalog(ArithmeticSeed(a, d), strict_21=strict)
+    for sub in [catalog] + [catalog[:i] + catalog[i + 1:] for i in range(len(catalog))]:
+        basis = quotient_basis(sub)
+        assert quotient_dimension(sub) == (INFINITE if basis is None else len(basis))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(11, 3000).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, 40 * a))))
+def test_gastinger_at_random_large_d(seed_pair):
+    a, d = seed_pair
+    assume(gcd(a, d) == 1)
+    report = gastinger_verify(ArithmeticSeed(a, d))
+    assert report.passed and report.minimal and report.dimension == a
+
+
 def test_dimension_is_order_stable():
     for a, d in ((11, 2), (13, 1), (22, 1), (23, 1)):
         catalog = generator_catalog(ArithmeticSeed(a, d))
@@ -191,7 +270,7 @@ def test_quotient_basis_weights_are_the_apery_set():
     # standard monomials map bijectively onto the Apery set through the
     # weighted degree: any heavier representative of a class would factor
     # through the killed variable
-    from apsum import apery_set_closed, quotient_basis
+    from apsum import apery_set_closed
 
     for a, d in ((11, 2), (13, 1), (14, 1), (21, 1), (23, 1), (30, 7)):
         seed = ArithmeticSeed(a, d)

@@ -3,7 +3,10 @@
 import json
 from math import gcd
 
+import pytest
+
 from apsum import (
+    DomainError,
     resume,
     seed_grid,
     strip_timing,
@@ -59,10 +62,11 @@ def test_gamma6_sweep_reports_verdicts():
 def test_checkpoint_roundtrip(tmp_path):
     path = str(tmp_path / "sweep.jsonl")
     report = sweep_uniqueness(5, (11, 13), (1, 3), checkpoint_path=path)
-    lines = open(path).read().splitlines()
+    header, *lines = (tmp_path / "sweep.jsonl").read_text().splitlines()
+    assert json.loads(header) == {"checkpoint": "uniqueness", "m": 5}
     assert len(lines) == len(report.records) == 9
     cursor = resume(path)
-    assert cursor.valid_lines == 9
+    assert cursor.valid_lines == 1 + 9
     assert cursor.corrupt_line is None
 
     # a rerun over the same grid recomputes nothing
@@ -78,11 +82,11 @@ def test_checkpoint_resume_mid_grid(tmp_path):
 
     partial_path = str(tmp_path / "partial.jsonl")
     with open(partial_path, "w") as fh:
-        fh.write("\n".join(lines[:4]) + "\n")
+        fh.write("\n".join(lines[:1 + 4]) + "\n")
     resumed = sweep_uniqueness(5, (11, 13), (1, 3), checkpoint_path=partial_path)
     assert resumed.reused == 4
     assert strip_timing(resumed.records) == strip_timing(full.records)
-    assert len(open(partial_path).read().splitlines()) == 9
+    assert len((tmp_path / "partial.jsonl").read_text().splitlines()) == 1 + 9
 
 
 def test_checkpoint_truncated_final_line(tmp_path):
@@ -92,14 +96,40 @@ def test_checkpoint_truncated_final_line(tmp_path):
     with open(path, "wb") as fh:
         fh.write(raw[:-7])  # chop into the last record
     cursor = resume(path)
-    assert cursor.valid_lines == 3
-    assert cursor.corrupt_line == 4
+    assert cursor.valid_lines == 1 + 3
+    assert cursor.corrupt_line == 1 + 4
 
     # resuming drops the damaged tail and recomputes just that seed
     report = sweep_uniqueness(5, (11, 12), (1, 2), checkpoint_path=path)
     assert report.reused == 3
     cursor = resume(path)
-    assert cursor.valid_lines == 4 and cursor.corrupt_line is None
+    assert cursor.valid_lines == 1 + 4 and cursor.corrupt_line is None
+
+
+def test_checkpoint_refuses_another_sweep(tmp_path):
+    # records are keyed by (a, d, m), so a gamma6 checkpoint would otherwise
+    # hand all its verdicts to an m = 6 uniqueness sweep over the same grid
+    path = tmp_path / "sweep.jsonl"
+    sweep_gamma6((16, 20), (1, 3), checkpoint_path=str(path))
+    before = path.read_bytes()
+    for sweep in (lambda: sweep_uniqueness(6, (16, 20), (1, 3), checkpoint_path=str(path)),
+                  lambda: sweep_uniqueness(5, (16, 20), (1, 3), checkpoint_path=str(path))):
+        with pytest.raises(DomainError) as err:
+            sweep()
+        assert err.value.code == "checkpointMismatch"
+    assert path.read_bytes() == before
+
+
+def test_checkpoint_refuses_a_headerless_file(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    path.write_text('{"a":11,"d":1,"m":5,"ms":0,"verdict":"match"}\n')
+    with pytest.raises(DomainError) as err:
+        sweep_uniqueness(5, (11, 11), (1, 1), checkpoint_path=str(path))
+    assert err.value.code == "checkpointMismatch"
+
+    path.write_text("")  # an empty file starts a fresh checkpoint
+    report = sweep_uniqueness(5, (11, 11), (1, 1), checkpoint_path=str(path))
+    assert report.reused == 0 and resume(str(path)).valid_lines == 1 + 1
 
 
 def test_determinism_modulo_timing(tmp_path):
