@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .cone import (
     AperyTable,
     ConeDecomposition,
-    LadderAnalysis,
     apery_table,
     cone_decomposition,
     cone_to_json,
@@ -25,7 +24,6 @@ from .errors import DomainError, VerificationError
 from .family import (
     AperyRecord,
     ArithmeticSeed,
-    RadixDigits,
     RadixDigits6,
     UniquenessReport,
     apery_multiplier,

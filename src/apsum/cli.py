@@ -2,8 +2,9 @@
 
 Every subcommand emits a JSON envelope {command, seed, payload, toolVersion,
 schemaVersion} by default; --format csv/table give flat exports of the same
-payload.  Exit codes: 0 success, 2 usage error, 3 domain error (bad seed,
-non-member, ...), 4 verification failure (dimension check or cross-check).
+payload.  Exit codes: 0 success, 2 usage error or unwritable path, 3 domain
+error (bad seed, non-member, ...), 4 verification failure (dimension check
+or cross-check).
 
 ``main`` builds the seed once (None for sweeps) and passes it to the
 subcommand's handler.  A handler computes its result once and returns
@@ -361,15 +362,18 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "a"):
             seed = ArithmeticSeed(args.a, args.d, getattr(args, "m", None) or 5)
         payload, code, text = args.handler(seed, args)
+        command = args.command + (
+            f" {args.ideal_command}" if getattr(args, "ideal_command", None) else ""
+        ) + (f" {args.sweep_command}" if getattr(args, "sweep_command", None) else "")
+        _emit(_render(_envelope(command, seed, payload), args.format, text), args.out)
     except (DomainError, VerificationError) as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         if isinstance(exc, UsageError):
             return EXIT_USAGE
         return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_VERIFICATION
-    command = args.command + (
-        f" {args.ideal_command}" if getattr(args, "ideal_command", None) else ""
-    ) + (f" {args.sweep_command}" if getattr(args, "sweep_command", None) else "")
-    _emit(_render(_envelope(command, seed, payload), args.format, text), args.out)
+    except OSError as exc:  # an unwritable --out or --checkpoint path
+        print(json.dumps({"error": "ioError", "message": str(exc)}), file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

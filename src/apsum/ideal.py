@@ -9,14 +9,14 @@ monomials by a walk along the staircase of the leading monomials, in runs
 along the last variable.  The catalog generates the full defining ideal iff
 that count equals a, and it is minimal iff every drop-one variant fails it.
 
-The Buchberger engine handles exactly the closed fragment it needs: monic
-monomials and monic binomials, which S-pairs and reduction preserve.
+The Buchberger engine works in grevlex only, on the fragment the count
+needs: monic monomials and binomials, each one pair (lead, tail).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import DomainError
 from .family import ArithmeticSeed, partial_sum_generators, require_closed_form
@@ -324,36 +324,32 @@ def catalog_to_json(catalog: list[BinomialGenerator]) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Buchberger engine on monic monomials / binomials
+# Buchberger engine on monic monomials / binomials, in grevlex
 # ----------------------------------------------------------------------
-# A polynomial is ('m', exponents) or ('b', lead, tail) with lead > tail in
-# the active order.  Reduction rewrites one monomial at a time, so this form
-# is closed under completion.
+# A polynomial is the pair (lead, tail): the monic binomial x^lead - x^tail
+# with lead > tail in grevlex, or the monomial x^lead when tail is None.
+# S-polynomials and reduction rewrite one term at a time into a monomial or
+# zero, so this shape is closed under completion.  One order suffices: the
+# standard monomials of any Groebner basis span the quotient (Macaulay's
+# basis theorem), so the dimension count cannot depend on the order.
 
-Poly = tuple
+Poly = tuple  # (lead, tail), tail None for a monomial
 
 
 def grevlex_key(e: Exponents):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def lex_key(e: Exponents):
-    return tuple(e)
-
-
-MONOMIAL_ORDERS: dict[str, Callable] = {"grevlex": grevlex_key, "lex": lex_key}
-
-
-def monomial(exps: Exponents) -> Poly:
-    return ("m", tuple(exps))
-
-
-def binomial(e1: Exponents, e2: Exponents, key=grevlex_key) -> Poly | None:
-    """Monic binomial with the larger side leading; None if the sides cancel."""
-    e1, e2 = tuple(e1), tuple(e2)
-    if e1 == e2:
+def binomial(u: Exponents | None, v: Exponents | None) -> Poly | None:
+    """Monic x^u - x^v with the larger term leading, where a None term is
+    zero; None when both terms vanish or they cancel."""
+    if u is None:
+        u, v = v, None
+    if u is None or u == v:
         return None
-    return ("b", e1, e2) if key(e1) > key(e2) else ("b", e2, e1)
+    if v is None or grevlex_key(u) > grevlex_key(v):
+        return (u, v)
+    return (v, u)
 
 
 def _divide(a: Exponents, b: Exponents) -> Exponents | None:
@@ -370,86 +366,70 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def leading_monomial(p: Poly) -> Exponents:
-    return p[1]
-
-
 def _find_reducer(e: Exponents, basis: list[Poly]):
-    for q in basis:
-        quot = _divide(e, leading_monomial(q))
+    """(quotient, tail) of the first element whose lead divides x^e, or None."""
+    for lead, tail in basis:
+        quot = _divide(e, lead)
         if quot is not None:
-            return q, quot
+            return quot, tail
     return None
 
 
-def reduce_poly(p: Poly | None, basis: list[Poly], key=grevlex_key) -> Poly | None:
-    """Full normal form of p against basis; None means it reduced to zero."""
+def reduce_poly(p: Poly | None, basis: list[Poly]) -> Poly | None:
+    """Full normal form of p against basis, one term at a time; None is zero."""
     while p is not None:
-        if p[0] == "m":
-            hit = _find_reducer(p[1], basis)
-            if hit is None:
-                return p
-            q, quot = hit
-            if q[0] == "m":
-                return None
-            p = ("m", _mul(quot, q[2]))
-        else:
-            _, lead, tail = p
-            hit = _find_reducer(lead, basis)
-            if hit is not None:
-                q, quot = hit
-                p = ("m", tail) if q[0] == "m" else binomial(_mul(quot, q[2]), tail, key)
-                continue
-            hit = _find_reducer(tail, basis)
-            if hit is None:
-                return p
-            q, quot = hit
-            p = ("m", lead) if q[0] == "m" else binomial(lead, _mul(quot, q[2]), key)
+        lead, tail = p
+        hit = _find_reducer(lead, basis)
+        if hit is not None:
+            quot, q_tail = hit
+            p = binomial(None if q_tail is None else _mul(quot, q_tail), tail)
+            continue
+        hit = None if tail is None else _find_reducer(tail, basis)
+        if hit is None:
+            return p
+        quot, q_tail = hit
+        p = binomial(lead, None if q_tail is None else _mul(quot, q_tail))
     return None
 
 
-def _s_poly(f: Poly, g: Poly, key) -> Poly | None:
-    if f[0] == "m" and g[0] == "m":
+def _s_poly(f: Poly, g: Poly) -> Poly | None:
+    lf, tf = f
+    lg, tg = g
+    if tf is None and tg is None:
         return None
-    lcm = _lcm(leading_monomial(f), leading_monomial(g))
-    if f[0] == "m":
-        return ("m", _mul(_divide(lcm, leading_monomial(g)), g[2]))
-    if g[0] == "m":
-        return ("m", _mul(_divide(lcm, leading_monomial(f)), f[2]))
+    lcm = _lcm(lf, lg)
     return binomial(
-        _mul(_divide(lcm, leading_monomial(f)), f[2]),
-        _mul(_divide(lcm, leading_monomial(g)), g[2]),
-        key,
+        None if tf is None else _mul(_divide(lcm, lf), tf),
+        None if tg is None else _mul(_divide(lcm, lg), tg),
     )
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     elements: tuple[Poly, ...]
-    order: str
 
 
-def buchberger(polys: Iterable[Poly | None], order: str = "grevlex") -> GroebnerBasis:
-    """Complete the monomials/binomials to a Groebner basis.
+def buchberger(polys: Iterable[Poly | None]) -> GroebnerBasis:
+    """Complete the monomials/binomials to a grevlex Groebner basis.
 
-    Pairs with coprime leading monomials are skipped (their S-polynomials
-    reduce to zero); everything else is the textbook loop.
+    None inputs are dropped.  Pairs with coprime leading monomials are
+    skipped (their S-polynomials reduce to zero); everything else is the
+    textbook loop.
     """
-    key = MONOMIAL_ORDERS[order]
     basis = [p for p in polys if p is not None]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
         f, g = basis[i], basis[j]
-        lf, lg = leading_monomial(f), leading_monomial(g)
+        lf, lg = f[0], g[0]
         if _lcm(lf, lg) == _mul(lf, lg):
             continue
-        s = reduce_poly(_s_poly(f, g, key), basis, key)
+        s = reduce_poly(_s_poly(f, g), basis)
         if s is not None:
             basis.append(s)
             k = len(basis) - 1
             pairs.extend((k, t) for t in range(k))
-    return GroebnerBasis(tuple(basis), order)
+    return GroebnerBasis(tuple(basis))
 
 
 def _staircase(basis: Iterable[Exponents], nvars: int) -> list[tuple[Exponents, int]] | None:
@@ -507,44 +487,33 @@ def standard_monomial_count(basis: Iterable[Exponents], nvars: int):
 # dimension verification
 # ----------------------------------------------------------------------
 
-def _quotient_polys(catalog: Iterable[BinomialGenerator], key) -> list[Poly]:
+def _quotient_polys(catalog: Iterable[BinomialGenerator]) -> list[Poly | None]:
     """Images of the catalog in k[x2..x5] after x1 -> 0.
 
-    A side containing x1 dies; binomials free of x1 survive as binomials.
+    A side containing x1 dies, so a binomial survives as a binomial, a
+    monomial or zero (None).
     """
-    polys: list[Poly] = []
-    for b in catalog:
-        lhs_dies, rhs_dies = b.lhs[0] > 0, b.rhs[0] > 0
-        if lhs_dies and rhs_dies:
-            continue
-        if lhs_dies:
-            polys.append(monomial(b.rhs[1:]))
-        elif rhs_dies:
-            polys.append(monomial(b.lhs[1:]))
-        else:
-            polys.append(binomial(b.lhs[1:], b.rhs[1:], key))
-    return polys
+    return [binomial(None if b.lhs[0] else b.lhs[1:], None if b.rhs[0] else b.rhs[1:]) for b in catalog]
 
 
-def _leading_monomials(catalog: Iterable[BinomialGenerator], order: str) -> list[Exponents]:
+def _leading_monomials(catalog: Iterable[BinomialGenerator]) -> list[Exponents]:
     """Leading monomials of a Groebner basis of the catalog's image in k[x2..x5]."""
-    gb = buchberger(_quotient_polys(catalog, MONOMIAL_ORDERS[order]), order)
-    return [leading_monomial(p) for p in gb.elements]
+    return [lead for lead, _ in buchberger(_quotient_polys(catalog)).elements]
 
 
-def quotient_basis(catalog: Iterable[BinomialGenerator], order: str = "grevlex") -> list[Exponents] | None:
+def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | None:
     """Monomial basis of k[x1..x5] / (catalog + (x1)), in x2..x5 exponents.
 
     None when the quotient is not finite dimensional.  When the catalog
     generates the full defining ideal, these monomials map bijectively onto
     the Apery set through the weighted degree.
     """
-    return standard_monomials(_leading_monomials(catalog, order), 4)
+    return standard_monomials(_leading_monomials(catalog), 4)
 
 
-def quotient_dimension(catalog: Iterable[BinomialGenerator], order: str = "grevlex"):
+def quotient_dimension(catalog: Iterable[BinomialGenerator]):
     """dim_k of k[x1..x5] / (catalog + (x1)): standard monomial count in x2..x5."""
-    return standard_monomial_count(_leading_monomials(catalog, order), 4)
+    return standard_monomial_count(_leading_monomials(catalog), 4)
 
 
 @dataclass(frozen=True)
@@ -559,7 +528,7 @@ class GastingerReport:
     adjudication: dict | None = None
 
 
-def gastinger_verify(seed: ArithmeticSeed, order: str = "grevlex") -> GastingerReport:
+def gastinger_verify(seed: ArithmeticSeed) -> GastingerReport:
     """Verify the catalog generates the defining ideal, and minimally so.
 
     The catalog passes iff the quotient dimension equals a; minimality holds
@@ -572,16 +541,16 @@ def gastinger_verify(seed: ArithmeticSeed, order: str = "grevlex") -> GastingerR
     adjudication = None
     if (a, seed.d) in ((21, 1), (21, 2)):
         catalogs = {"strict": generator_catalog(seed, strict_21=True), "withCore": generator_catalog(seed)}
-        dims = {name: quotient_dimension(cat, order) for name, cat in catalogs.items()}
+        dims = {name: quotient_dimension(cat) for name, cat in catalogs.items()}
         variant = "strict" if dims["strict"] == a and dims["withCore"] != a else "withCore"
         adjudication = {**dims, "selected": variant}
         catalog, dim = catalogs[variant], dims[variant]
     else:
         catalog = generator_catalog(seed)
-        dim = quotient_dimension(catalog, order)
+        dim = quotient_dimension(catalog)
     drop = {}
     for i, b in enumerate(catalog):
         sub = catalog[:i] + catalog[i + 1 :]
-        drop[b.label] = quotient_dimension(sub, order)
+        drop[b.label] = quotient_dimension(sub)
     minimal = all(v != a for v in drop.values())
     return GastingerReport(dim, dim == a, minimal, drop, variant, adjudication)

@@ -247,3 +247,33 @@ def test_sweep_unique_small_m_is_domain_error(capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "invalidSeed"
+
+
+@pytest.mark.parametrize("sweep", [("unique", "--m", "6"), ("gamma6",)])
+@pytest.mark.parametrize("a_range, d_range", [("16:17", "0:1"), ("16:17", "-1:1"), ("1:2", "1:1")])
+def test_sweep_grid_outside_the_seeds_is_domain_error(capsys, tmp_path, sweep, a_range, d_range):
+    path = tmp_path / "sweep.jsonl"
+    code, out, err = run(capsys, "sweep", *sweep, f"--a-range={a_range}", f"--d-range={d_range}",
+                         "--jobs", "1", "--checkpoint", str(path))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "invalidSeed"
+    assert not path.exists()
+
+
+def test_unwritable_out_is_io_error(capsys, tmp_path):
+    code, out, err = run(capsys, "info", "--a", "11", "--d", "2",
+                         "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ioError"
+
+
+@pytest.mark.parametrize("where", ["missing/c.jsonl", "."])
+def test_unwritable_checkpoint_is_io_error(capsys, tmp_path, where):
+    code, out, err = run(capsys, "sweep", "gamma6", "--a-range", "16:17", "--d-range", "1:1",
+                         "--jobs", "1", "--checkpoint", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ioError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []

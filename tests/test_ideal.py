@@ -24,7 +24,7 @@ from apsum import (
     standard_monomial_count,
     standard_monomials,
 )
-from apsum.ideal import binomial, grevlex_key, monomial, residue_family
+from apsum.ideal import _quotient_polys, binomial, grevlex_key, reduce_poly, residue_family
 
 
 def labels(catalog):
@@ -116,9 +116,24 @@ def test_catalog_json_shape():
 
 def test_buchberger_one_reduction():
     # x2^3 divides the lead of the binomial, leaving the pure power x5^2
-    polys = [monomial((3, 0, 0, 0)), binomial((3, 2, 0, 0), (0, 0, 0, 2))]
+    polys = [binomial((3, 0, 0, 0), None), binomial((3, 2, 0, 0), (0, 0, 0, 2))]
     basis = buchberger(polys)
-    assert ("m", (0, 0, 0, 2)) in basis.elements
+    assert ((0, 0, 0, 2), None) in basis.elements
+
+
+def test_binomial_treats_none_as_zero():
+    assert binomial(None, None) is None
+    assert binomial((1, 2), (1, 2)) is None
+    assert binomial(None, (1, 0)) == binomial((1, 0), None) == ((1, 0), None)
+    # grevlex: equal degree, the smaller last exponent leads
+    assert binomial((0, 2), (1, 1)) == binomial((1, 1), (0, 2)) == ((1, 1), (0, 2))
+
+
+def test_reduce_poly_rewrites_the_tail():
+    # x^3 - y^2 against y^2 - x: the lead is irreducible, the tail becomes x
+    assert reduce_poly(binomial((3, 0), (0, 2)), [binomial((0, 2), (1, 0))]) == ((3, 0), (1, 0))
+    # against the monomial y the tail dies
+    assert reduce_poly(binomial((2, 0), (0, 1)), [binomial((0, 1), None)]) == ((2, 0), None)
 
 
 def test_buchberger_single_binomial_is_complete():
@@ -260,10 +275,151 @@ def test_gastinger_at_random_large_d(seed_pair):
     assert report.passed and report.minimal and report.dimension == a
 
 
+# ----------------------------------------------------------------------
+# differential check against the tagged, order-taking reference engine
+# ----------------------------------------------------------------------
+# A polynomial is ("m", e) or ("b", lead, tail) with lead > tail under key.
+
+def lex_key(e):
+    return tuple(e)
+
+
+def ref_binomial(e1, e2, key):
+    e1, e2 = tuple(e1), tuple(e2)
+    if e1 == e2:
+        return None
+    return ("b", e1, e2) if key(e1) > key(e2) else ("b", e2, e1)
+
+
+def _ref_divide(a, b):
+    return tuple(x - y for x, y in zip(a, b)) if all(x >= y for x, y in zip(a, b)) else None
+
+
+def _ref_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_find_reducer(e, basis):
+    for q in basis:
+        quot = _ref_divide(e, q[1])
+        if quot is not None:
+            return q, quot
+    return None
+
+
+def ref_reduce(p, basis, key):
+    while p is not None:
+        if p[0] == "m":
+            hit = _ref_find_reducer(p[1], basis)
+            if hit is None:
+                return p
+            q, quot = hit
+            if q[0] == "m":
+                return None
+            p = ("m", _ref_mul(quot, q[2]))
+        else:
+            _, lead, tail = p
+            hit = _ref_find_reducer(lead, basis)
+            if hit is not None:
+                q, quot = hit
+                p = ("m", tail) if q[0] == "m" else ref_binomial(_ref_mul(quot, q[2]), tail, key)
+                continue
+            hit = _ref_find_reducer(tail, basis)
+            if hit is None:
+                return p
+            q, quot = hit
+            p = ("m", lead) if q[0] == "m" else ref_binomial(lead, _ref_mul(quot, q[2]), key)
+    return None
+
+
+def ref_s_poly(f, g, key):
+    if f[0] == "m" and g[0] == "m":
+        return None
+    lcm = tuple(max(x, y) for x, y in zip(f[1], g[1]))
+    if f[0] == "m":
+        return ("m", _ref_mul(_ref_divide(lcm, g[1]), g[2]))
+    if g[0] == "m":
+        return ("m", _ref_mul(_ref_divide(lcm, f[1]), f[2]))
+    return ref_binomial(_ref_mul(_ref_divide(lcm, f[1]), f[2]), _ref_mul(_ref_divide(lcm, g[1]), g[2]), key)
+
+
+def reference_buchberger(polys, key):
+    """The textbook loop in the tagged shape, under any monomial order key."""
+    basis = [p for p in polys if p is not None]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        f, g = basis[i], basis[j]
+        if tuple(max(x, y) for x, y in zip(f[1], g[1])) == _ref_mul(f[1], g[1]):
+            continue
+        s = ref_reduce(ref_s_poly(f, g, key), basis, key)
+        if s is not None:
+            basis.append(s)
+            k = len(basis) - 1
+            pairs.extend((k, t) for t in range(k))
+    return tuple(basis)
+
+
+def ref_quotient_polys(catalog, key):
+    """The catalog's image after x1 -> 0, in the tagged shape."""
+    polys = []
+    for b in catalog:
+        lhs_dies, rhs_dies = b.lhs[0] > 0, b.rhs[0] > 0
+        if lhs_dies and rhs_dies:
+            continue
+        if lhs_dies:
+            polys.append(("m", b.rhs[1:]))
+        elif rhs_dies:
+            polys.append(("m", b.lhs[1:]))
+        else:
+            polys.append(ref_binomial(b.lhs[1:], b.rhs[1:], key))
+    return polys
+
+
+def as_pair(p):
+    return (p[1], None) if p[0] == "m" else (p[1], p[2])
+
+
+@st.composite
+def catalog_subsets(draw):
+    """A random subset, in catalog order, of a coprime seed's catalog with
+    11 <= a <= 600 and d <= 40a; a fifth of the draws are the (21, 1) and
+    (21, 2) catalogs, strict or with the core."""
+    if draw(st.integers(0, 4)) == 0:
+        a, d = 21, draw(st.integers(1, 2))
+    else:
+        a = draw(st.integers(11, 600))
+        d = draw(st.integers(1, 40 * a))
+        assume(gcd(a, d) == 1)
+    catalog = generator_catalog(ArithmeticSeed(a, d), strict_21=draw(st.booleans()))
+    keep = draw(st.lists(st.booleans(), min_size=len(catalog), max_size=len(catalog)))
+    return [b for b, k in zip(catalog, keep) if k]
+
+
+@settings(max_examples=400, deadline=None)
+@given(catalog_subsets())
+def test_buchberger_matches_reference_engine(sub):
+    expected = reference_buchberger(ref_quotient_polys(sub, grevlex_key), grevlex_key)
+    assert buchberger(_quotient_polys(sub)).elements == tuple(map(as_pair, expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3),
+                          st.none() | st.tuples(*[st.integers(0, 3)] * 3)), min_size=1, max_size=5))
+def test_buchberger_matches_reference_on_small_binomials(terms):
+    # catalog images never need a tail rewritten; these small ideals do
+    polys = [binomial(u, v) for u, v in terms]
+    tagged = [("m", u) if v is None else ref_binomial(u, v, grevlex_key) for u, v in terms]
+    assert buchberger(polys).elements == tuple(map(as_pair, reference_buchberger(tagged, grevlex_key)))
+
+
 def test_dimension_is_order_stable():
+    # Macaulay: the lex and the grevlex basis leave the same number of
+    # standard monomials
     for a, d in ((11, 2), (13, 1), (22, 1), (23, 1)):
         catalog = generator_catalog(ArithmeticSeed(a, d))
-        assert quotient_dimension(catalog, "grevlex") == quotient_dimension(catalog, "lex") == a
+        lex = reference_buchberger(ref_quotient_polys(catalog, lex_key), lex_key)
+        assert standard_monomial_count([p[1] for p in lex], 4) == quotient_dimension(catalog) == a
 
 
 def test_quotient_basis_weights_are_the_apery_set():

@@ -132,6 +132,19 @@ def test_checkpoint_refuses_a_headerless_file(tmp_path):
     assert report.reused == 0 and resume(str(path)).valid_lines == 1 + 1
 
 
+@pytest.mark.parametrize("a_range, d_range", [((16, 17), (0, 1)), ((16, 17), (-1, 1)), ((1, 2), (1, 1))])
+def test_grid_outside_the_seeds_is_refused_before_the_checkpoint(tmp_path, a_range, d_range):
+    # d = 0 would otherwise come back as notCoprime skips, and a < 2 or
+    # d < 0 would fail mid-grid after the header was written
+    path = tmp_path / "sweep.jsonl"
+    for sweep in (lambda: sweep_uniqueness(6, a_range, d_range, checkpoint_path=str(path)),
+                  lambda: sweep_gamma6(a_range, d_range, checkpoint_path=str(path))):
+        with pytest.raises(DomainError) as err:
+            sweep()
+        assert err.value.code == "invalidSeed"
+    assert not path.exists()
+
+
 def test_determinism_modulo_timing(tmp_path):
     first = sweep_gamma6((16, 20), (1, 2), checkpoint_path=str(tmp_path / "a.jsonl"))
     second = sweep_gamma6((16, 20), (1, 2), checkpoint_path=str(tmp_path / "b.jsonl"))
