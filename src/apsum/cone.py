@@ -1,27 +1,32 @@
 """Apery table, ladder analysis, and the tangent-cone decomposition.
 
-Row s of the Apery table lists, per residue class, the least element of the
-s-fold sumset of the nonzero elements; a column stays flat while the class
-representative keeps qualifying and then climbs by the multiplicity each row.
+Row s of the Apery table lists, per residue class, the least element of M^s,
+M the maximal ideal.  The rows come from a residue DP, M^s = gens + M^(s-1),
+at O(m * a) per row whatever d is; a column stays flat through the order of
+its Apery class and then climbs by the multiplicity, so the class orders are
+read off the table.
 Columns read as ladders: a flat stretch of length >= 1 is a landing, and a
 landing starting below row 0 ("true landing") signals a torsion summand in
 the associated graded ring.  For this family every column is a single
 landing from row 0, the cone is a free module over the fiber cone, and the
 order histogram doubles as the Hilbert series numerator.
 
-``cone_decomposition`` is the one result per seed: it builds the table once
-and keeps it, and the reduction number, Hilbert numerator, ring flags and
-JSON export are views of that decomposition.
+``cone_decomposition`` is the one result per seed: it builds the table once,
+checks the table's order histogram against the closed form and keeps it; the
+reduction number, Hilbert numerator, ring flags and JSON export are views of
+that decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import eq, itemgetter
 
 from .errors import DomainError, VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
 from .frobenius import semigroup_type
-from .oracle import orders_up_to
+from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark tracer's self-test
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,7 @@ class AperyTable:
     seed: ArithmeticSeed
     rows: tuple[tuple[int, ...], ...]
     guard_row: tuple[int, ...]
-    orders: tuple[int, ...]  # order of each column's Apery class, 0 for column 0
+    orders: tuple[int, ...]  # last row keeping each column's row-0 value, 0 for column 0
 
     @property
     def top(self) -> int:
@@ -39,26 +44,31 @@ class AperyTable:
 
 
 def apery_table(seed: ArithmeticSeed) -> AperyTable:
-    """Build the table with rows 0..(max class order), plus a guard row.
+    """Rows 0..top of the table plus a guard row, as a layered residue DP.
 
-    Row 0 is the Apery set (0 in column 0); row 1 replaces the 0 by the
-    multiplicity; row s+1 keeps an entry that lies in the (s+1)-fold sumset
-    and bumps it by the multiplicity otherwise.
+    L_0 is the Apery set (0 in class 0) and L_s[r] = min over generators g
+    of g + L_(s-1)[(r - g) mod a]: one rotated copy of the previous row per
+    generator.  The guard row is the first row s >= 2 where no column t >= 1
+    keeps its row-0 value, and a column's order is the last row keeping it.
+    Column n is the class of n * d mod a.
     """
     a = seed.a
-    records = apery_records(seed)
-    top = max(rec.order for rec in records)
     gens = partial_sum_generators(seed)
-    limit = max(rec.value for rec in records) + (top + 2) * a
-    orders = orders_up_to(gens, limit)
-
-    row0 = (0,) + tuple(rec.value for rec in records)
-    row1 = (a,) + row0[1:]
-    rows = [row0, row1]
-    for s in range(2, top + 2):
-        rows.append(tuple(v if orders[v] >= s else v + a for v in rows[-1]))
-    guard = rows.pop()
-    return AperyTable(seed, tuple(rows), guard, (0,) + tuple(rec.order for rec in records))
+    level = [0] * a
+    for rec in apery_records(seed):
+        level[rec.value % a] = rec.value
+    layers = [level]
+    while True:
+        # each rotation puts L_(s-1)[(r - g) mod a] at position r
+        level = list(map(min, *(map(g.__add__, level[-(g % a):] + level[:-(g % a)]) for g in gens)))
+        if len(layers) >= 2 and not any(map(eq, level[1:], layers[0][1:])):
+            break
+        layers.append(level)
+    columns = itemgetter(*(n * seed.d % a for n in range(a)))
+    rows = tuple(map(columns, layers))
+    # columns never decrease, so the rows keeping row 0 form a prefix
+    orders = tuple(col.count(col[0]) - 1 for col in zip(*rows))
+    return AperyTable(seed, rows, columns(level), orders)
 
 
 @dataclass(frozen=True)
@@ -93,14 +103,12 @@ class ColumnLadder:
 def _column_landings(values: tuple[int, ...]) -> tuple[Landing, ...]:
     """Maximal flat stretches of length >= 1 in a nondecreasing sequence."""
     landings = []
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[j + 1] == values[i]:
-            j += 1
-        if j > i:
-            landings.append(Landing(i, j))
-        i = j + 1
+    start = 0
+    for flat, run in groupby(map(eq, values, values[1:])):
+        steps = len(list(run))
+        if flat:
+            landings.append(Landing(start, start + steps))
+        start += steps
     return tuple(landings)
 
 
@@ -121,20 +129,13 @@ def landings(table: AperyTable) -> LadderAnalysis:
     true landing ending at the guard row.
     """
     cols = []
-    nrows = len(table.rows)
-    for t in range(table.seed.a):
-        ladder = tuple(table.rows[s][t] for s in range(nrows)) + (table.guard_row[t],)
+    for t, ladder in enumerate(zip(*table.rows, table.guard_row)):
         found = _column_landings(ladder)
         if t == 0:
             cols.append(ColumnLadder(0, found, 0, 0, ()))
             continue
-        p = len(found) - 1
-        d = found[-1].end
-        torsion = tuple(
-            (found[j - 1].end, found[j].start - found[j - 1].end)
-            for j in range(1, len(found))
-        )
-        cols.append(ColumnLadder(t, found, p, d, torsion))
+        torsion = tuple((lo.end, hi.start - lo.end) for lo, hi in zip(found, found[1:]))
+        cols.append(ColumnLadder(t, found, len(found) - 1, found[-1].end, torsion))
     return LadderAnalysis(tuple(cols))
 
 
@@ -144,11 +145,6 @@ def _histogram(orders) -> list[int]:
     for k in orders:
         counts[k] += 1
     return counts
-
-
-def _histogram_adjustment(k: int) -> int:
-    # small orders lose/gain classes where the top radix digit can vanish
-    return {2: -1, 3: 2}.get(k, 0)
 
 
 def order_histogram_closed(a: int) -> list[int]:
@@ -166,7 +162,8 @@ def order_histogram_closed(a: int) -> list[int]:
             base = near_top[r]
         else:
             base = at_top[r]
-        out[k] = base + _histogram_adjustment(k)
+        # small orders lose/gain classes where the top radix digit can vanish
+        out[k] = base + {2: -1, 3: 2}.get(k, 0)
     ks = sorted(out)
     while ks and out[ks[-1]] == 0:
         out.pop(ks.pop())
@@ -194,8 +191,8 @@ class ConeDecomposition:
 def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
     """Build the table once and decompose the cone from it.
 
-    The direct t_k, counted from the table's class orders, is cross-checked
-    against the closed form.
+    The direct t_k, counted from the class orders read off the table, is
+    cross-checked against the closed form.
     """
     table = apery_table(seed)
     ladder = landings(table)

@@ -184,6 +184,8 @@ class SweepReport:
 
 
 def _run_sweep(kind, worker, m, a_range, d_range, jobs, checkpoint_path) -> SweepReport:
+    if a_range[0] > a_range[1] or d_range[0] > d_range[1]:
+        raise DomainError("invalidRange", f"grids need LO <= HI, got a {a_range}, d {d_range}")
     if a_range[0] < 2 or d_range[0] < 1:
         raise DomainError("invalidSeed", f"grids need a >= 2 and d >= 1, got a {a_range}, d {d_range}")
     start = time.perf_counter()

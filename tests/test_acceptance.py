@@ -78,9 +78,9 @@ def test_criterion_1_golden_example():
         (22, 35, 48, 50, 63, 87, 67, 80, 104, 95, 86),
         (33, 46, 59, 61, 74, 87, 78, 91, 104, 106, 97),
     )
-    # the two cells the update rule pins hardest: 80 = 24 + 56 sits in the
-    # two-fold sumset so row 2 keeps it; 87 = 2*24 + 39 has order three so
-    # row 3 keeps it as well
+    # the two cells the orders pin hardest: 80 = 24 + 56 has order two, so
+    # it is the least member of its class in M^2 and row 2 keeps it;
+    # 87 = 2*24 + 39 has order three, so row 3 keeps it as well
     gens = partial_sum_generators(seed)
     assert order_oracle(80, gens) == 2 and table.rows[2][7] == 80
     assert order_oracle(87, gens) == 3 and table.rows[3][5] == 87
@@ -181,6 +181,26 @@ def test_criterion_5_order_histogram(cones):
         assert dec.t_counts[1] == 4
     _report("5", f"direct t-counts = closed form, sum = a, t1 = 4 on {len(cones)} seeds",
             time.perf_counter() - start)
+
+
+def test_cone_to_a1000():
+    start = time.perf_counter()
+    seeds = [(1000, 7), (1000, 3001)]
+    for i in range(1, 42):
+        a = round(60 * (1000 / 60) ** (i / 41))
+        d = 1 + (7919 * i) % (40 * a)
+        while gcd(a, d) != 1:
+            d = d % (40 * a) + 1
+        seeds.append((a, d))
+    assert {a % 10 for a, _ in seeds} == set(range(10))  # every histogram residue row
+    for a, d in seeds:
+        seed = ArithmeticSeed(a, d)
+        dec = cone_decomposition(seed)
+        assert dec.table.orders[1:] == tuple(rec.order for rec in apery_records(seed)), (a, d)
+        assert list(dec.t_counts) == order_histogram_closed(a), (a, d)
+        assert dec.free, (a, d)
+    _report("5+6", f"table orders = closed orders, t-counts = closed form, free cone on "
+            f"{len(seeds)} log-spaced seeds (60<a<=1000, d<=40a)", time.perf_counter() - start)
 
 
 def test_criterion_6_cone_freeness(cones):

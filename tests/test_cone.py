@@ -1,23 +1,35 @@
 """Apery table, landings, cone decomposition, Hilbert data, ring flags."""
 
-import pytest
+import json
+from itertools import accumulate
+from math import gcd
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import apsum.cli
+import apsum.cone
 from apsum import (
     ArithmeticSeed,
+    VerificationError,
+    apery_records,
     apery_table,
     cone_decomposition,
     cone_to_json,
     hilbert_numerator,
     landings,
     order_histogram_closed,
+    partial_sum_generators,
     reduction_number,
     ring_properties,
     table_to_csv,
 )
+from apsum.oracle import orders_up_to
 
 SEED_11_2 = ArithmeticSeed(11, 2)
 
-# derived from the update rule: an entry stays while its order covers the row
+# an entry stays while its order covers the row, and climbs by 11 after it
 TABLE_11_2 = (
     (0, 24, 48, 39, 63, 87, 56, 80, 104, 95, 75),
     (11, 24, 48, 39, 63, 87, 56, 80, 104, 95, 75),
@@ -50,6 +62,43 @@ def test_table_row_structure_generic():
             assert all(order_oracle(v, gens) >= s for v in row)
 
 
+def orders_table(seed):
+    """Reference table from the order of every integer up to the guard row.
+
+    Row s + 1 keeps an entry of order >= s + 1 and adds the multiplicity to
+    any other; the class orders come from the closed form.
+    """
+    a = seed.a
+    records = apery_records(seed)
+    top = max(rec.order for rec in records)
+    limit = max(rec.value for rec in records) + (top + 2) * a
+    orders = orders_up_to(partial_sum_generators(seed), limit)
+    row0 = (0,) + tuple(rec.value for rec in records)
+    rows = [row0, (a,) + row0[1:]]
+    for s in range(2, top + 2):
+        rows.append(tuple(v if orders[v] >= s else v + a for v in rows[-1]))
+    guard = rows.pop()
+    return tuple(rows), guard, (0,) + tuple(rec.order for rec in records)
+
+
+def assert_matches_orders_table(seed):
+    table = apery_table(seed)
+    assert (table.rows, table.guard_row, table.orders) == orders_table(seed), (seed.a, seed.d)
+
+
+@pytest.mark.parametrize("a,d", [(11, 2), (21, 1), (21, 2), (60, 7), (200, 7)])
+def test_table_matches_orders_reference(a, d):
+    assert_matches_orders_table(ArithmeticSeed(a, d))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(11, 300).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, 40 * a))))
+def test_table_matches_orders_reference_at_random_large_d(seed_pair):
+    a, d = seed_pair
+    assume(gcd(a, d) == 1)
+    assert_matches_orders_table(ArithmeticSeed(a, d))
+
+
 def test_landings_11_2():
     analysis = landings(apery_table(SEED_11_2))
     cols = {c.column: c for c in analysis.columns}
@@ -59,6 +108,30 @@ def test_landings_11_2():
     assert cols[0].p == 0 and cols[0].d == 0  # multiplicity column convention
     assert analysis.free
     assert all(not c.torsion for c in analysis.columns)
+
+
+def stretch_landings(values):
+    """Reference: scan each maximal run of equal values from its first index."""
+    found = []
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[j + 1] == values[i]:
+            j += 1
+        if j > i:
+            found.append((i, j))
+        i = j + 1
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
+def test_column_landings_match_stretch_scan(steps):
+    # ladders with several landings (torsion-shaped columns) never come out
+    # of this family's tables, so they are drawn directly
+    values = tuple(accumulate(steps))
+    found = [(x.start, x.end) for x in apsum.cone._column_landings(values)]
+    assert found == stretch_landings(values)
 
 
 def test_order_histograms():
@@ -132,3 +205,20 @@ def test_json_export_shape():
     assert data["tCounts"] == [1, 4, 4, 2]
     assert data["hilbert"]["numerator"] == [1, 4, 4, 2]
     assert data["hilbert"]["denominator"] == "1-x"
+
+
+def test_histogram_cross_check_can_fail(monkeypatch, capsys):
+    # a closed form with one class too many at the top order must trip the
+    # check against the orders read off the table
+    def perturbed(a):
+        counts = order_histogram_closed(a)
+        return counts[:-1] + [counts[-1] + 1]
+
+    monkeypatch.setattr(apsum.cone, "order_histogram_closed", perturbed)
+    with pytest.raises(VerificationError) as err:
+        cone_decomposition(SEED_11_2)
+    assert err.value.code == "tCountMismatch"
+    assert apsum.cli.main(["cone", "--a", "11", "--d", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "tCountMismatch"

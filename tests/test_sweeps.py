@@ -145,6 +145,19 @@ def test_grid_outside_the_seeds_is_refused_before_the_checkpoint(tmp_path, a_ran
     assert not path.exists()
 
 
+@pytest.mark.parametrize("a_range, d_range", [((20, 16), (1, 2)), ((16, 20), (3, 1))])
+def test_reversed_range_is_refused_before_the_checkpoint(tmp_path, a_range, d_range):
+    # a reversed range is an empty grid, which would pass as a sweep with no
+    # records
+    path = tmp_path / "sweep.jsonl"
+    for sweep in (lambda: sweep_uniqueness(5, a_range, d_range, checkpoint_path=str(path)),
+                  lambda: sweep_gamma6(a_range, d_range, checkpoint_path=str(path))):
+        with pytest.raises(DomainError) as err:
+            sweep()
+        assert err.value.code == "invalidRange"
+    assert not path.exists()
+
+
 def test_determinism_modulo_timing(tmp_path):
     first = sweep_gamma6((16, 20), (1, 2), checkpoint_path=str(tmp_path / "a.jsonl"))
     second = sweep_gamma6((16, 20), (1, 2), checkpoint_path=str(tmp_path / "b.jsonl"))
