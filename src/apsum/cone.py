@@ -76,14 +76,6 @@ class Landing:
     start: int
     end: int
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    @property
-    def is_true(self) -> bool:
-        return self.start >= 1
-
 
 @dataclass(frozen=True)
 class ColumnLadder:

@@ -7,6 +7,13 @@ with its witness and the sweep keeps going.  Grids run in a stable order
 append-only JSONL checkpoint that survives truncation of its final line.
 A checkpoint opens with a header line naming its sweep kind and m; a sweep
 refuses a non-empty checkpoint with a missing or different header.
+
+Each sweep kind is a verdict function: it takes an ``ArithmeticSeed`` with
+gcd(a, d) = 1 and returns ``(verdict, witness)``, the witness a dict or
+None.  The driver owns the rest of a record: it skips non-coprime seeds as
+``notCoprime`` without calling the verdict function, and it adds ``a``,
+``d``, ``m`` and the per-seed ``ms``.  Every verdict other than ``match``
+and ``skip`` counts as a counterexample.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -34,65 +42,46 @@ def seed_grid(a_range: tuple[int, int], d_range: tuple[int, int]) -> list[tuple[
     ]
 
 
-def _uniqueness_task(task: tuple[int, int, int]) -> dict:
-    m, a, d = task
-    start = time.perf_counter()
-    if gcd(a, d) != 1:
-        record = {"a": a, "d": d, "m": m, "verdict": "skip", "witness": {"reason": "notCoprime"}}
-    else:
-        gens = partial_sum_generators(ArithmeticSeed(a, d, m))
-        report = uniqueness_check(gens, a)
-        if report.all_unique:
-            record = {"a": a, "d": d, "m": m, "verdict": "match"}
-        else:
-            worst = report.violations[0]
-            record = {
-                "a": a,
-                "d": d,
-                "m": m,
-                "verdict": "violation",
-                "witness": {
-                    "value": worst.value,
-                    "count": worst.count,
-                    "expansions": [list(e) for e in worst.expansions[:MAX_WITNESS_ITEMS]],
-                    "violations": len(report.violations),
-                },
-            }
-    record["ms"] = int((time.perf_counter() - start) * 1000)
-    return record
+def _uniqueness_verdict(seed: ArithmeticSeed) -> tuple[str, dict | None]:
+    report = uniqueness_check(partial_sum_generators(seed), seed.a)
+    if report.all_unique:
+        return "match", None
+    worst = report.violations[0]
+    return "violation", {
+        "value": worst.value,
+        "count": worst.count,
+        "expansions": [list(e) for e in worst.expansions[:MAX_WITNESS_ITEMS]],
+        "violations": len(report.violations),
+    }
 
 
-def _gamma6_task(task: tuple[int, int, int]) -> dict:
-    _, a, d = task
+def _gamma6_verdict(seed: ArithmeticSeed) -> tuple[str, dict | None]:
+    gens = partial_sum_generators(seed)
+    if not is_minimal_generating(gens):
+        return "skip", {"reason": "notMinimal"}
+    a, d = seed.a, seed.d
+    conjectured = apery_set_conjectured6(seed)
+    oracle = apery_oracle(gens, a)
+    mismatches = [
+        {"n": n, "conjectured": conjectured[n], "oracle": oracle[n * d % a]}
+        for n in range(1, a)
+        if conjectured[n] != oracle[n * d % a]
+    ]
+    if not mismatches:
+        return "match", None
+    return "mismatch", {"mismatches": mismatches[:MAX_WITNESS_ITEMS], "count": len(mismatches)}
+
+
+def _task(task: tuple) -> dict:
+    verdict_of, m, a, d = task
     start = time.perf_counter()
     if gcd(a, d) != 1:
-        record = {"a": a, "d": d, "m": 6, "verdict": "skip", "witness": {"reason": "notCoprime"}}
+        verdict, witness = "skip", {"reason": "notCoprime"}
     else:
-        seed = ArithmeticSeed(a, d, 6)
-        gens = partial_sum_generators(seed)
-        if not is_minimal_generating(gens):
-            record = {"a": a, "d": d, "m": 6, "verdict": "skip", "witness": {"reason": "notMinimal"}}
-        else:
-            conjectured = apery_set_conjectured6(seed)
-            oracle = apery_oracle(gens, a)
-            mismatches = []
-            for n in range(1, a):
-                expected = oracle[n * d % a]
-                if conjectured[n] != expected:
-                    mismatches.append({"n": n, "conjectured": conjectured[n], "oracle": expected})
-            if mismatches:
-                record = {
-                    "a": a,
-                    "d": d,
-                    "m": 6,
-                    "verdict": "mismatch",
-                    "witness": {
-                        "mismatches": mismatches[:MAX_WITNESS_ITEMS],
-                        "count": len(mismatches),
-                    },
-                }
-            else:
-                record = {"a": a, "d": d, "m": 6, "verdict": "match"}
+        verdict, witness = verdict_of(ArithmeticSeed(a, d, m))
+    record = {"a": a, "d": d, "m": m, "verdict": verdict}
+    if witness is not None:
+        record["witness"] = witness
     record["ms"] = int((time.perf_counter() - start) * 1000)
     return record
 
@@ -165,12 +154,11 @@ class SweepReport:
     d_range: tuple[int, int]
     records: list[dict]
     elapsed_ms: int
-    checkpoint_path: str | None = None
-    reused: int = 0
+    reused: int
 
     @property
     def counterexamples(self) -> list[dict]:
-        return [r for r in self.records if r["verdict"] in ("violation", "mismatch")]
+        return [r for r in self.records if r["verdict"] not in ("match", "skip")]
 
     def to_json(self) -> dict:
         return {
@@ -183,7 +171,7 @@ class SweepReport:
         }
 
 
-def _run_sweep(kind, worker, m, a_range, d_range, jobs, checkpoint_path) -> SweepReport:
+def _run_sweep(kind, verdict_of, m, a_range, d_range, jobs, checkpoint_path) -> SweepReport:
     if a_range[0] > a_range[1] or d_range[0] > d_range[1]:
         raise DomainError("invalidRange", f"grids need LO <= HI, got a {a_range}, d {d_range}")
     if a_range[0] < 2 or d_range[0] < 1:
@@ -192,45 +180,35 @@ def _run_sweep(kind, worker, m, a_range, d_range, jobs, checkpoint_path) -> Swee
     grid = seed_grid(a_range, d_range)
     cursor = CheckpointCursor()
     out = None
-    if checkpoint_path:
-        header = {"checkpoint": kind, "m": m}
-        cursor = resume(checkpoint_path)
-        if cursor.header != header and (cursor.valid_lines or cursor.corrupt_line is not None):
-            found = cursor.header or "no header"
-            raise DomainError("checkpointMismatch", f"{checkpoint_path} holds {found}, not {header}")
-        if cursor.corrupt_line is not None:
-            with open(checkpoint_path, "ab") as fh:
-                fh.truncate(cursor.byte_offset)
-        out = open(checkpoint_path, "ab")
-        if cursor.header is None:
-            out.write(_record_line(header).encode("utf-8"))
-    try:
+    with ExitStack() as stack:
+        if checkpoint_path:
+            header = {"checkpoint": kind, "m": m}
+            cursor = resume(checkpoint_path)
+            if cursor.header != header and (cursor.valid_lines or cursor.corrupt_line is not None):
+                found = cursor.header or "no header"
+                raise DomainError("checkpointMismatch", f"{checkpoint_path} holds {found}, not {header}")
+            out = stack.enter_context(open(checkpoint_path, "ab"))
+            out.truncate(cursor.byte_offset)  # drops a damaged tail
+            if cursor.header is None:
+                out.write(_record_line(header).encode("utf-8"))
+        pending = [(verdict_of, m, a, d) for (a, d) in grid if (a, d, m) not in cursor.completed]
+        if jobs > 1 and pending:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            fresh = pool.map(_task, pending, chunksize=8)
+        else:
+            fresh = map(_task, pending)
+        # both iterators yield in grid order; parallel results stream in
         records = []
-        pending = [(m, a, d) for (a, d) in grid if (a, d, m) not in cursor.completed]
-        pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and pending else None
-        try:
-            # both iterators yield in grid order; parallel results stream in
-            fresh = pool.map(worker, pending, chunksize=8) if pool else map(worker, pending)
-            reused = 0
-            for a, d in grid:
-                key = (a, d, m)
-                if key in cursor.completed:
-                    records.append(cursor.completed[key])
-                    reused += 1
-                    continue
+        for a, d in grid:
+            record = cursor.completed.get((a, d, m))
+            if record is None:
                 record = next(fresh)
-                records.append(record)
                 if out is not None:
                     out.write(_record_line(record).encode("utf-8"))
                     out.flush()
-        finally:
-            if pool is not None:
-                pool.shutdown()
-    finally:
-        if out is not None:
-            out.close()
+            records.append(record)
     elapsed = int((time.perf_counter() - start) * 1000)
-    return SweepReport(kind, m, a_range, d_range, records, elapsed, checkpoint_path, reused)
+    return SweepReport(kind, m, a_range, d_range, records, elapsed, len(grid) - len(pending))
 
 
 def sweep_uniqueness(
@@ -243,7 +221,7 @@ def sweep_uniqueness(
     """Check unique Apery expansions for the m-generator family over a grid."""
     if m < 2:
         raise DomainError("invalidSeed", f"m must be at least 2, got {m}")
-    return _run_sweep("uniqueness", _uniqueness_task, m, a_range, d_range, jobs, checkpoint_path)
+    return _run_sweep("uniqueness", _uniqueness_verdict, m, a_range, d_range, jobs, checkpoint_path)
 
 
 def sweep_gamma6(
@@ -253,4 +231,4 @@ def sweep_gamma6(
     checkpoint_path: str | None = None,
 ) -> SweepReport:
     """Compare the conjectured six-generator Apery formula with the oracle."""
-    return _run_sweep("gamma6", _gamma6_task, 6, a_range, d_range, jobs, checkpoint_path)
+    return _run_sweep("gamma6", _gamma6_verdict, 6, a_range, d_range, jobs, checkpoint_path)

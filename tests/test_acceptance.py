@@ -36,6 +36,7 @@ from apsum import (
     strip_timing,
     sweep_gamma6,
     sweep_uniqueness,
+    uniqueness_check,
 )
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
@@ -291,6 +292,23 @@ def test_criterion_8_conjecture_sweeps():
             f"verdicts recorded: {summary['uniqueness_m6']['violations']} / "
             f"{summary['gamma6']['mismatches']} counterexamples",
             time.perf_counter() - start)
+
+
+def test_uniqueness_m5_to_a600():
+    # the paper's theorem beyond the criterion 8 grid; m = 6 stays data
+    start = time.perf_counter()
+    seeds = []
+    for i in range(16):
+        a = round(41 * (600 / 41) ** (i / 15))
+        d = 1 + (7919 * i) % a
+        while gcd(a, d) != 1:
+            d = d % a + 1
+        seeds.append((a, d))
+    assert len(set(seeds)) == 16 and seeds[0][0] == 41 and seeds[-1][0] == 600
+    for a, d in seeds:
+        assert uniqueness_check(partial_sum_generators(ArithmeticSeed(a, d)), a).all_unique, (a, d)
+    _report("8", f"m=5 unique Apery expansions on {len(seeds)} log-spaced seeds "
+            "(41<=a<=600, d<=a)", time.perf_counter() - start)
 
 
 def test_criterion_9_property_suites():

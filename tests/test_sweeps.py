@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import apsum.sweeps
 from apsum import (
     DomainError,
     resume,
@@ -47,6 +48,38 @@ def test_uniqueness_sweep_records_dim7_violation():
     assert record["witness"]["value"] == 543
     assert record["witness"]["count"] == 2
     assert report.counterexamples == [record]
+
+
+def test_gamma6_mismatch_is_recorded_with_its_witness(monkeypatch):
+    # no swept grid yields a mismatch, so shift 10 conjectured entries by a
+    real = apsum.sweeps.apery_set_conjectured6
+
+    def shifted(seed):
+        values = list(real(seed))
+        for n in range(1, 11):
+            values[n] += seed.a
+        return values
+
+    monkeypatch.setattr(apsum.sweeps, "apery_set_conjectured6", shifted)
+    report = sweep_gamma6((17, 17), (1, 1))
+    (record,) = report.records
+    assert record["verdict"] == "mismatch"
+    assert record["witness"]["count"] == 10
+    assert len(record["witness"]["mismatches"]) == 8
+    assert list(record) == ["a", "d", "m", "verdict", "witness", "ms"]
+    assert report.counterexamples == [record]
+
+
+def test_record_key_order():
+    # --format csv writes records with json.dumps unsorted, so the order is output
+    with_witness = ["a", "d", "m", "verdict", "witness", "ms"]
+    skips = sweep_gamma6((3, 4), (1, 2)).records
+    reasons = {(r["a"], r["d"]): r["witness"]["reason"] for r in skips if r["verdict"] == "skip"}
+    assert reasons[(3, 1)] == "notMinimal" and reasons[(4, 2)] == "notCoprime"
+    for record in skips:
+        assert list(record) == (with_witness if "witness" in record else ["a", "d", "m", "verdict", "ms"])
+    (violation,) = sweep_uniqueness(7, (34, 34), (1, 1)).records
+    assert list(violation) == with_witness
 
 
 def test_gamma6_sweep_reports_verdicts():
@@ -162,15 +195,26 @@ def test_determinism_modulo_timing(tmp_path):
     first = sweep_gamma6((16, 20), (1, 2), checkpoint_path=str(tmp_path / "a.jsonl"))
     second = sweep_gamma6((16, 20), (1, 2), checkpoint_path=str(tmp_path / "b.jsonl"))
     assert strip_timing(first.records) == strip_timing(second.records)
-    canonical = [
-        [json.dumps({k: v for k, v in json.loads(line).items() if k != "ms"}, sort_keys=True)
-         for line in open(p).read().splitlines()]
-        for p in (tmp_path / "a.jsonl", tmp_path / "b.jsonl")
-    ]
-    assert canonical[0] == canonical[1]
+    assert _lines_without_timing(tmp_path / "a.jsonl") == _lines_without_timing(tmp_path / "b.jsonl")
+
+
+def _lines_without_timing(path):
+    return [json.dumps({k: v for k, v in json.loads(line).items() if k != "ms"}, sort_keys=True)
+            for line in path.read_text().splitlines()]
 
 
 def test_parallel_matches_serial():
     serial = sweep_uniqueness(5, (11, 14), (1, 3), jobs=1)
     parallel = sweep_uniqueness(5, (11, 14), (1, 3), jobs=2)
     assert strip_timing(serial.records) == strip_timing(parallel.records)
+
+
+def test_parallel_checkpoint_matches_serial(tmp_path):
+    serial = sweep_gamma6((16, 22), (1, 3), checkpoint_path=str(tmp_path / "serial.jsonl"))
+    parallel = sweep_gamma6((16, 22), (1, 3), jobs=2, checkpoint_path=str(tmp_path / "parallel.jsonl"))
+    assert strip_timing(parallel.records) == strip_timing(serial.records)
+    assert _lines_without_timing(tmp_path / "parallel.jsonl") == _lines_without_timing(tmp_path / "serial.jsonl")
+
+    again = sweep_gamma6((16, 22), (1, 3), jobs=2, checkpoint_path=str(tmp_path / "parallel.jsonl"))
+    assert again.reused == 21
+    assert resume(str(tmp_path / "parallel.jsonl")).valid_lines == 1 + 21
