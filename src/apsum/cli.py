@@ -360,7 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     seed = None
     try:
         if hasattr(args, "a"):
-            seed = ArithmeticSeed(args.a, args.d, getattr(args, "m", None) or 5)
+            m = getattr(args, "m", None)
+            seed = ArithmeticSeed(args.a, args.d, 5 if m is None else m)
         payload, code, text = args.handler(seed, args)
         command = args.command + (
             f" {args.ideal_command}" if getattr(args, "ideal_command", None) else ""

@@ -10,7 +10,10 @@ along the last variable.  The catalog generates the full defining ideal iff
 that count equals a, and it is minimal iff every drop-one variant fails it.
 
 The Buchberger engine works in grevlex only, on the fragment the count
-needs: monic monomials and binomials, each one pair (lead, tail).
+needs: monic monomials and binomials, each one pair (lead, tail).  It never
+queues a pair of two monomials, and it skips pairs with coprime leads.  The
+catalog is mapped to k[x2..x5] once; each drop-one variant is that image
+less one element.
 """
 
 from __future__ import annotations
@@ -332,6 +335,8 @@ def catalog_to_json(catalog: list[BinomialGenerator]) -> list[dict]:
 # zero, so this shape is closed under completion.  One order suffices: the
 # standard monomials of any Groebner basis span the quotient (Macaulay's
 # basis theorem), so the dimension count cannot depend on the order.
+# The S-polynomial of two monomials is zero, and a catalog image is mostly
+# monomials, so the pair queue holds only pairs with at least one binomial.
 
 Poly = tuple  # (lead, tail), tail None for a monomial
 
@@ -395,8 +400,6 @@ def reduce_poly(p: Poly | None, basis: list[Poly]) -> Poly | None:
 def _s_poly(f: Poly, g: Poly) -> Poly | None:
     lf, tf = f
     lg, tg = g
-    if tf is None and tg is None:
-        return None
     lcm = _lcm(lf, lg)
     return binomial(
         None if tf is None else _mul(_divide(lcm, lf), tf),
@@ -412,23 +415,34 @@ class GroebnerBasis:
 def buchberger(polys: Iterable[Poly | None]) -> GroebnerBasis:
     """Complete the monomials/binomials to a grevlex Groebner basis.
 
-    None inputs are dropped.  Pairs with coprime leading monomials are
-    skipped (their S-polynomials reduce to zero); everything else is the
-    textbook loop.
+    None inputs are dropped.  A pair of two monomials is never queued (its
+    S-polynomial is zero), so a new monomial is paired only with the
+    binomials; a queued pair with coprime leading monomials is skipped
+    (Buchberger's first criterion).  Everything else is the textbook loop,
+    popping pairs last in, first out.
     """
     basis = [p for p in polys if p is not None]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    pairs: list[tuple[int, int]] = []
+    binomials: list[int] = []  # indices of the elements with a tail
+
+    def queue(k: int) -> None:
+        if basis[k][1] is None:
+            pairs.extend((k, t) for t in binomials)
+        else:
+            pairs.extend((k, t) for t in range(k))
+            binomials.append(k)
+
+    for k in range(len(basis)):
+        queue(k)
     while pairs:
         i, j = pairs.pop()
         f, g = basis[i], basis[j]
-        lf, lg = f[0], g[0]
-        if _lcm(lf, lg) == _mul(lf, lg):
+        if all(x == 0 or y == 0 for x, y in zip(f[0], g[0])):
             continue
         s = reduce_poly(_s_poly(f, g), basis)
         if s is not None:
             basis.append(s)
-            k = len(basis) - 1
-            pairs.extend((k, t) for t in range(k))
+            queue(len(basis) - 1)
     return GroebnerBasis(tuple(basis))
 
 
@@ -496,9 +510,14 @@ def _quotient_polys(catalog: Iterable[BinomialGenerator]) -> list[Poly | None]:
     return [binomial(None if b.lhs[0] else b.lhs[1:], None if b.rhs[0] else b.rhs[1:]) for b in catalog]
 
 
-def _leading_monomials(catalog: Iterable[BinomialGenerator]) -> list[Exponents]:
-    """Leading monomials of a Groebner basis of the catalog's image in k[x2..x5]."""
-    return [lead for lead, _ in buchberger(_quotient_polys(catalog)).elements]
+def _leading_monomials(images: list[Poly | None]) -> list[Exponents]:
+    """Leading monomials of a Groebner basis of catalog images in k[x2..x5]."""
+    return [lead for lead, _ in buchberger(images).elements]
+
+
+def _dimension(images: list[Poly | None]):
+    """Standard monomial count in x2..x5 of the ideal the images generate."""
+    return standard_monomial_count(_leading_monomials(images), 4)
 
 
 def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | None:
@@ -508,12 +527,12 @@ def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | No
     generates the full defining ideal, these monomials map bijectively onto
     the Apery set through the weighted degree.
     """
-    return standard_monomials(_leading_monomials(catalog), 4)
+    return standard_monomials(_leading_monomials(_quotient_polys(catalog)), 4)
 
 
 def quotient_dimension(catalog: Iterable[BinomialGenerator]):
     """dim_k of k[x1..x5] / (catalog + (x1)): standard monomial count in x2..x5."""
-    return standard_monomial_count(_leading_monomials(catalog), 4)
+    return _dimension(_quotient_polys(catalog))
 
 
 @dataclass(frozen=True)
@@ -545,12 +564,11 @@ def gastinger_verify(seed: ArithmeticSeed) -> GastingerReport:
         variant = "strict" if dims["strict"] == a and dims["withCore"] != a else "withCore"
         adjudication = {**dims, "selected": variant}
         catalog, dim = catalogs[variant], dims[variant]
+        images = _quotient_polys(catalog)
     else:
         catalog = generator_catalog(seed)
-        dim = quotient_dimension(catalog)
-    drop = {}
-    for i, b in enumerate(catalog):
-        sub = catalog[:i] + catalog[i + 1 :]
-        drop[b.label] = quotient_dimension(sub)
+        images = _quotient_polys(catalog)
+        dim = _dimension(images)
+    drop = {b.label: _dimension(images[:i] + images[i + 1 :]) for i, b in enumerate(catalog)}
     minimal = all(v != a for v in drop.values())
     return GastingerReport(dim, dim == a, minimal, drop, variant, adjudication)

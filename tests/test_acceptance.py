@@ -160,6 +160,17 @@ def test_criterion_4_gastinger_grid():
             time.perf_counter() - start)
 
 
+def test_gastinger_grid_to_a200():
+    start = time.perf_counter()
+    grid = coprime_grid(61, 200, 1, 10)
+    for a, d in grid:
+        report = gastinger_verify(ArithmeticSeed(a, d))
+        assert report.dimension == a, (a, d, report.dimension)
+        assert report.passed and report.minimal, (a, d, report.drop_one_dims)
+    _report("4", f"dimension = a and drop-one minimality on all {len(grid)} coprime seeds "
+            "(60<a<=200, d<=10)", time.perf_counter() - start)
+
+
 def test_gastinger_to_a1000():
     start = time.perf_counter()
     seeds = log_spaced_seeds(60, 1000, 60, 15)

@@ -3,6 +3,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,25 @@ def test_sweep_unique_small_m_is_domain_error(capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "invalidSeed"
+
+
+@pytest.mark.parametrize("command", [("info",), ("apery",), ("order", "--value", "24")])
+def test_m_zero_is_domain_error(capsys, command):
+    # m = 0 is refused like m = 1, not read as the default m = 5
+    code, out, err = run(capsys, *command, "--a", "11", "--d", "2", "--m", "0")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "invalidSeed"
+
+
+def test_python_m_apsum_runs_the_cli(capsys):
+    src = str(Path(apsum.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "apsum", "info", "--a", "11", "--d", "2"],
+                          capture_output=True, text=True, env=env, check=False)
+    code, out, _ = run(capsys, "info", "--a", "11", "--d", "2")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 @pytest.mark.parametrize("sweep", [("unique", "--m", "6"), ("gamma6",)])

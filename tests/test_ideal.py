@@ -142,6 +142,21 @@ def test_buchberger_single_binomial_is_complete():
     assert basis.elements == (poly,)
 
 
+def test_buchberger_never_pairs_two_monomials(monkeypatch):
+    # every pair of monomials is either coprime or has a zero S-polynomial,
+    # so a monomial-only input is complete without a single reduction
+    calls = []
+
+    def counting(p, basis):
+        calls.append(p)
+        return reduce_poly(p, basis)
+
+    monkeypatch.setattr("apsum.ideal.reduce_poly", counting)
+    polys = [((2, 0, 0, 0), None), ((0, 3, 0, 0), None), ((1, 1, 0, 0), None), ((0, 0, 0, 5), None)]
+    assert buchberger(polys).elements == tuple(polys)
+    assert calls == []
+
+
 def test_quotient_dimension_11_2():
     assert quotient_dimension(generator_catalog(ArithmeticSeed(11, 2))) == 11
 
@@ -401,6 +416,15 @@ def catalog_subsets(draw):
 def test_buchberger_matches_reference_engine(sub):
     expected = reference_buchberger(ref_quotient_polys(sub, grevlex_key), grevlex_key)
     assert buchberger(_quotient_polys(sub)).elements == tuple(map(as_pair, expected))
+
+
+@pytest.mark.parametrize("a, d, strict", [(21, 1, True), (21, 1, False), (21, 2, True),
+                                          (21, 2, False), (137, 4, False)])
+def test_buchberger_matches_reference_on_drop_one_variants(a, d, strict):
+    catalog = generator_catalog(ArithmeticSeed(a, d), strict_21=strict)
+    for sub in [catalog] + [catalog[:i] + catalog[i + 1:] for i in range(len(catalog))]:
+        expected = reference_buchberger(ref_quotient_polys(sub, grevlex_key), grevlex_key)
+        assert buchberger(_quotient_polys(sub)).elements == tuple(map(as_pair, expected))
 
 
 @settings(max_examples=100, deadline=None)
