@@ -18,7 +18,6 @@ from .cone import (
     order_histogram_closed,
     reduction_number,
     ring_properties,
-    table_to_csv,
 )
 from .errors import DomainError, VerificationError
 from .family import (

@@ -3,8 +3,8 @@
 Every subcommand emits a JSON envelope {command, seed, payload, toolVersion,
 schemaVersion} by default; --format csv/table give flat exports of the same
 payload.  Exit codes: 0 success, 2 usage error or unwritable path, 3 domain
-error (bad seed, non-member, ...), 4 verification failure (dimension check
-or cross-check).
+error (bad seed, non-member, tooLarge input, ...), 4 verification failure
+(dimension check or cross-check).
 
 ``main`` builds the seed once (None for sweeps) and passes it to the
 subcommand's handler.  A handler computes its result once and returns
@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .cone import apery_table, cone_decomposition, cone_to_json, hilbert_numerator, ring_properties, table_to_csv
+from .cone import apery_table, cone_decomposition, cone_to_json, hilbert_numerator, ring_properties
 from .errors import DomainError, VerificationError
 from .family import (
     ArithmeticSeed,
@@ -213,7 +213,7 @@ def _cmd_table(seed, args):
     table = apery_table(seed)
     payload = {"rows": [list(r) for r in table.rows], "top": table.top}
     return payload, EXIT_OK, {
-        "csv": lambda: table_to_csv(table),
+        "csv": lambda: "".join(",".join(map(str, row)) + "\n" for row in table.rows),
         "table": lambda: "".join(" ".join(f"{v:5d}" for v in row) + "\n" for row in table.rows),
     }
 
@@ -375,6 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an unwritable --out or --checkpoint path
         print(json.dumps({"error": "ioError", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, OverflowError) as exc:  # a sieve or table sized by a huge input
+        message = f"input too large to compute: {exc!r}"
+        print(json.dumps({"error": "tooLarge", "message": message}), file=sys.stderr)
+        return EXIT_DOMAIN
     return code
 
 

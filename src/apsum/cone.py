@@ -1,10 +1,11 @@
 """Apery table, ladder analysis, and the tangent-cone decomposition.
 
-Row s of the Apery table lists, per residue class, the least element of M^s,
-M the maximal ideal.  The rows come from a residue DP, M^s = gens + M^(s-1),
-at O(m * a) per row whatever d is; a column stays flat through the order of
-its Apery class and then climbs by the multiplicity, so the class orders are
-read off the table.
+Row s of the Apery table lists the least element of M^s, M the maximal
+ideal, in each class; column n is the class of n * d mod a.  The rows come
+from a DP in column order, M^s = gens + M^(s-1), where generator j shifts the
+column by C(j, 2) = 0, 1, 3, 6, 10, the closed form's radix steps, at O(m * a)
+per row whatever d is; a column stays flat through the order of its Apery
+class and then climbs by the multiplicity, so the class orders are read off.
 Columns read as ladders: a flat stretch of length >= 1 is a landing, and a
 landing starting below row 0 ("true landing") signals a torsion summand in
 the associated graded ring.  For this family every column is a single
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import eq, itemgetter
+from operator import eq
 
 from .errors import DomainError, VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
@@ -33,7 +34,6 @@ from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark t
 class AperyTable:
     """Rows 0..top of the table plus one guard row used by the freeness check."""
 
-    seed: ArithmeticSeed
     rows: tuple[tuple[int, ...], ...]
     guard_row: tuple[int, ...]
     orders: tuple[int, ...]  # last row keeping each column's row-0 value, 0 for column 0
@@ -44,31 +44,27 @@ class AperyTable:
 
 
 def apery_table(seed: ArithmeticSeed) -> AperyTable:
-    """Rows 0..top of the table plus a guard row, as a layered residue DP.
+    """Rows 0..top of the table plus a guard row, as a layered DP in column order.
 
-    L_0 is the Apery set (0 in class 0) and L_s[r] = min over generators g
-    of g + L_(s-1)[(r - g) mod a]: one rotated copy of the previous row per
-    generator.  The guard row is the first row s >= 2 where no column t >= 1
-    keeps its row-0 value, and a column's order is the last row keeping it.
-    Column n is the class of n * d mod a.
+    Row 0 is the Apery set, column n holding the class of n * d mod a.
+    Generator g_j = j a + C(j, 2) d lies in the class of C(j, 2) d, so row s
+    at column n is the min over j of g_j + row_(s-1)[(n - C(j, 2)) mod a]:
+    one rotated copy of the previous row per generator.  The guard row is the
+    first row s >= 2 where no column t >= 1 keeps its row-0 value, and a
+    column's order is the last row keeping it.
     """
-    a = seed.a
-    gens = partial_sum_generators(seed)
-    level = [0] * a
-    for rec in apery_records(seed):
-        level[rec.value % a] = rec.value
-    layers = [level]
+    shifts = [(j * (j - 1) // 2 % seed.a, g) for j, g in enumerate(partial_sum_generators(seed), 1)]
+    level = (0, *(rec.value for rec in apery_records(seed)))
+    rows = [level]
     while True:
-        # each rotation puts L_(s-1)[(r - g) mod a] at position r
-        level = list(map(min, *(map(g.__add__, level[-(g % a):] + level[:-(g % a)]) for g in gens)))
-        if len(layers) >= 2 and not any(map(eq, level[1:], layers[0][1:])):
+        # each rotation puts row_(s-1)[(n - k) mod a] at column n
+        level = tuple(map(min, *(map(g.__add__, level[-k:] + level[:-k]) for k, g in shifts)))
+        if len(rows) >= 2 and not any(map(eq, level[1:], rows[0][1:])):
             break
-        layers.append(level)
-    columns = itemgetter(*(n * seed.d % a for n in range(a)))
-    rows = tuple(map(columns, layers))
+        rows.append(level)
     # columns never decrease, so the rows keeping row 0 form a prefix
     orders = tuple(col.count(col[0]) - 1 for col in zip(*rows))
-    return AperyTable(seed, rows, columns(level), orders)
+    return AperyTable(tuple(rows), level, orders)
 
 
 @dataclass(frozen=True)
@@ -252,11 +248,6 @@ def ring_properties(dec: ConeDecomposition) -> dict:
 # ----------------------------------------------------------------------
 # exports
 # ----------------------------------------------------------------------
-
-def table_to_csv(table: AperyTable) -> str:
-    """Matrix rows as bare CSV lines (no header)."""
-    return "\n".join(",".join(str(v) for v in row) for row in table.rows) + "\n"
-
 
 def cone_to_json(dec: ConeDecomposition) -> dict:
     """JSON-ready view of a decomposition: table rows, t-vector, freeness, shifts, reduction data."""

@@ -300,3 +300,30 @@ def test_unwritable_checkpoint_is_io_error(capsys, tmp_path, where):
     assert out == ""
     assert json.loads(err)["error"] == "ioError"
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+# values from 10^20 up overflow an index or a shift count before anything is allocated
+@pytest.mark.parametrize("argv, error", [
+    (["info", "--a", "1", "--d", "1"], "invalidSeed"),
+    (["info", "--a", "5", "--d", "0"], "invalidSeed"),
+    (["order", "--a", "11", "--d", "2", "--value", "-5"], "invalidElement"),
+    (["order", "--a", "11", "--d", "2", "--value", str(10**20)], "tooLarge"),
+    (["apery", "--oracle", "--a", str(10**20), "--d", "1"], "tooLarge"),
+    (["info", "--m", "6", "--a", str(10**20 + 1), "--d", "1"], "tooLarge"),
+])
+def test_bad_input_is_a_coded_domain_error(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_out_of_memory_is_too_large(capsys, monkeypatch):
+    def exhausted(value, gens):
+        raise MemoryError
+
+    monkeypatch.setattr(apsum.cli, "order_oracle", exhausted)
+    code, out, err = run(capsys, "order", "--a", "11", "--d", "2", "--value", "104")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "tooLarge", "message": "input too large to compute: MemoryError()"}

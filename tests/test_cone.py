@@ -23,7 +23,6 @@ from apsum import (
     partial_sum_generators,
     reduction_number,
     ring_properties,
-    table_to_csv,
 )
 from apsum.oracle import orders_up_to
 
@@ -190,12 +189,13 @@ def test_ring_properties():
     assert props["buchsbaum"] is True
 
 
-def test_csv_export():
-    text = table_to_csv(apery_table(SEED_11_2))
-    lines = text.strip().split("\n")
+def test_csv_export(capsys):
+    assert apsum.cli.main(["table", "--a", "11", "--d", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 4
     assert all(len(line.split(",")) == 11 for line in lines)
     assert lines[0] == "0,24,48,39,63,87,56,80,104,95,75"
+    assert lines == [",".join(map(str, row)) for row in TABLE_11_2]
 
 
 def test_json_export_shape():

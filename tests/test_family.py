@@ -36,6 +36,13 @@ def test_non_coprime_seed_rejected():
     assert err.value.code == "notCoprime"
 
 
+@pytest.mark.parametrize("a,d", [(1, 1), (0, 1), (5, 0), (5, -1)])
+def test_seed_below_a2_or_d1_rejected(a, d):
+    with pytest.raises(DomainError) as err:
+        ArithmeticSeed(a, d)
+    assert err.value.code == "invalidSeed"
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [

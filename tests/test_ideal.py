@@ -98,6 +98,17 @@ def test_catalog_g_homogeneity_identities():
     assert sum(e * g for e, g in zip(g6.lhs, gens)) == 6 * seed.a + 3 * seed.d
 
 
+@pytest.mark.parametrize("lhs,rhs", [
+    ((1, 0, 0, 0), (0, 1, 0, 0, 0)),  # a 4-entry side
+    ((1, 0, 0, 0, 0), (0, 1, 0, 0)),
+    ((1, 0, 2, 0, 0), (1, 0, 2, 0, 0)),  # equal sides
+])
+def test_binomial_generator_rejects_malformed_sides(lhs, rhs):
+    with pytest.raises(DomainError) as err:
+        BinomialGenerator("g", lhs, rhs)
+    assert err.value.code == "invalidGenerator"
+
+
 def test_below_threshold():
     with pytest.raises(DomainError) as err:
         generator_catalog(ArithmeticSeed(10, 1))

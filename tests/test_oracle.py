@@ -76,6 +76,17 @@ def test_order_oracle_rejects_non_member():
     assert err.value.code == "notMember"
 
 
+@pytest.mark.parametrize("query", [membership, order_oracle])
+def test_negative_element_rejected(query):
+    with pytest.raises(DomainError) as err:
+        query(-1, GENS_11_2)
+    assert err.value.code == "invalidElement"
+
+
+def test_single_generator_one_is_minimal():
+    assert is_minimal_generating((1,)) is True
+
+
 def test_pseudo_frobenius_oracle_examples():
     assert pseudo_frobenius_oracle((2, 3)) == (1,)
     assert pseudo_frobenius_oracle(GENS_11_2) == (64, 76, 84, 93)

@@ -139,6 +139,36 @@ def test_checkpoint_truncated_final_line(tmp_path):
     assert cursor.valid_lines == 1 + 4 and cursor.corrupt_line is None
 
 
+@pytest.mark.parametrize("damage", ["unterminated", "noVerdict"])
+def test_checkpoint_corrupt_record_is_recomputed(tmp_path, damage):
+    path = str(tmp_path / "sweep.jsonl")
+    fresh = sweep_uniqueness(5, (11, 12), (1, 2))
+    sweep_uniqueness(5, (11, 12), (1, 2), checkpoint_path=path)
+    lines = open(path, "rb").read().splitlines(keepends=True)
+    if damage == "unterminated":
+        bad = len(lines)  # the last record is complete JSON, but its newline is missing
+        lines[-1] = lines[-1].rstrip(b"\n")
+    else:
+        bad = 3  # a middle record without its verdict
+        entry = json.loads(lines[bad - 1])
+        del entry["verdict"]
+        lines[bad - 1] = json.dumps(entry).encode() + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
+    cursor = resume(path)
+    assert cursor.corrupt_line == bad
+    assert cursor.valid_lines == bad - 1
+    assert cursor.byte_offset == sum(map(len, lines[:bad - 1]))
+
+    # resuming truncates at the bad line and recomputes every seed from it on
+    report = sweep_uniqueness(5, (11, 12), (1, 2), checkpoint_path=path)
+    assert report.reused == bad - 2
+    assert strip_timing(report.records) == strip_timing(fresh.records)
+    cursor = resume(path)
+    assert cursor.corrupt_line is None
+    assert cursor.valid_lines == 1 + len(fresh.records)
+
+
 def test_checkpoint_refuses_another_sweep(tmp_path):
     # records are keyed by (a, d, m), so a gamma6 checkpoint would otherwise
     # hand all its verdicts to an m = 6 uniqueness sweep over the same grid
