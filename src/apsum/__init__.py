@@ -23,9 +23,7 @@ from .errors import DomainError, VerificationError
 from .family import (
     AperyRecord,
     ArithmeticSeed,
-    RadixDigits6,
     UniquenessReport,
-    apery_multiplier,
     apery_multiplier6,
     apery_records,
     apery_set_closed,
@@ -34,8 +32,7 @@ from .family import (
     canonical_expansion,
     minimality_check,
     partial_sum_generators,
-    radix_digits,
-    radix_digits6,
+    triangular_digits,
     uniqueness_check,
 )
 from .frobenius import (

@@ -3,7 +3,7 @@
 Row s of the Apery table lists the least element of M^s, M the maximal
 ideal, in each class; column n is the class of n * d mod a.  The rows come
 from a DP in column order, M^s = gens + M^(s-1), where generator j shifts the
-column by C(j, 2) = 0, 1, 3, 6, 10, the closed form's radix steps, at O(m * a)
+column by C(j, 2) = 0, 1, 3, 6, 10, the closed form's digit steps, at O(m * a)
 per row whatever d is; a column stays flat through the order of its Apery
 class and then climbs by the multiplicity, so the class orders are read off.
 Columns read as ladders: a flat stretch of length >= 1 is a landing, and a
@@ -150,7 +150,7 @@ def order_histogram_closed(a: int) -> list[int]:
             base = near_top[r]
         else:
             base = at_top[r]
-        # small orders lose/gain classes where the top radix digit can vanish
+        # small orders lose/gain classes where the top triangular digit can vanish
         out[k] = base + {2: -1, 3: 2}.get(k, 0)
     ks = sorted(out)
     while ks and out[ks[-1]] == 0:

@@ -4,19 +4,23 @@ For coprime a, d > 0 the generators are the partial sums
 
     s_n = n * (2a + (n - 1) d) / 2,   n = 1..m,
 
-i.e. a, 2a+d, 3a+3d, 4a+6d, 5a+10d, ...  With five generators the Apery set
-with respect to a admits a closed form: writing the residue index n in the
-mixed radix (10, 6, 3), the least member of its class is a digit-weighted
-multiple of a plus n*d, and the digit vector doubles as the canonical
-expansion over the non-multiplicity generators.  The six-generator analogue
-uses the radix (15, 10, 6, 3) and is conjectural; it is exposed here for the
+i.e. a, 2a+d, 3a+3d, 4a+6d, 5a+10d, ...  Generator k is k*a + C(k, 2)*d,
+so an expansion of the class index n is n written in greedy digits over the
+triangular numbers C(k, 2) (``triangular_digits``).  With five generators the
+Apery set with respect to a admits a closed form: over the digits 10, 6, 3, 1
+(plus one rewrite), the least member of class n is the digit-weighted
+multiple of a plus n*d, and the digits are its canonical expansion over the
+non-multiplicity generators.  The six-generator analogue uses the digits
+15, 10, 6, 3, 1 with rebates and is conjectural; it is exposed here for the
 sweep harness, never asserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
+from operator import mul
 
 from .errors import DomainError
 from .oracle import (
@@ -53,72 +57,37 @@ def partial_sum_generators(seed: ArithmeticSeed) -> tuple[int, ...]:
     return validate_generators(gens)
 
 
-@dataclass(frozen=True)
-class RadixDigits:
-    """Digits of n in mixed radix (10, 6, 3): n = 10 q3 + 6 q2 + 3 q1 + r1."""
+def triangular_digits(n: int, m: int) -> tuple[int, ...]:
+    """Greedy digits (c2, ..., cm) of n >= 0 over C(m, 2), ..., 6, 3, 1.
 
-    q3: int
-    r3: int
-    q2: int
-    r2: int
-    q1: int
-    r1: int
-
-
-def radix_digits(n: int) -> RadixDigits:
-    """Decompose n >= 0 into the (10, 6, 3) digit tuple."""
+    n = sum of c_k * C(k, 2); generator k is k*a + C(k, 2)*d, so c_k counts
+    generator k in an expansion of the class index n.
+    """
     if n < 0:
-        raise DomainError("invalidElement", "radix digits need n >= 0")
-    q3, r3 = divmod(n, 10)
-    q2, r2 = divmod(r3, 6)
-    q1, r1 = divmod(r2, 3)
-    return RadixDigits(q3, r3, q2, r2, q1, r1)
+        raise DomainError("invalidElement", "triangular digits need n >= 0")
+    digits = [0] * (m - 1)
+    for k in range(m, 1, -1):
+        digits[k - 2], n = divmod(n, k * (k - 1) // 2)
+    return tuple(digits)
 
 
 def canonical_expansion(n: int) -> tuple[int, int, int, int]:
     """Coefficients (c2, c3, c4, c5) on the non-multiplicity generators.
 
-    Generic digits give (r1, q1, q2, q3); when r1 == 2 and q3 > 0 the
-    rewritten form (0, q1, q2 + 2, q3 - 1) trades two degree-2 generators and
-    one degree-5 generator for two degree-4 ones, which lowers the degree
-    (the multiplier of a) by one.
+    Generic expansions are ``triangular_digits(n, 5)``; when c2 == 2 and
+    c5 > 0 the rewritten form (0, c3, c4 + 2, c5 - 1) trades two degree-2
+    generators and one degree-5 generator for two degree-4 ones, which lowers
+    the degree (the multiplier of a) by one.
     """
-    dig = radix_digits(n)
-    if dig.r1 == 2 and dig.q3 > 0:
-        return (0, dig.q1, dig.q2 + 2, dig.q3 - 1)
-    return (dig.r1, dig.q1, dig.q2, dig.q3)
+    c2, c3, c4, c5 = triangular_digits(n, 5)
+    if c2 == 2 and c5 > 0:
+        return (0, c3, c4 + 2, c5 - 1)
+    return (c2, c3, c4, c5)
 
 
-def _degree(expansion: tuple[int, int, int, int]) -> int:
+def _degree(expansion: tuple[int, ...]) -> int:
     # generator k is k*a + (k choose 2)*d, so its coefficient of a is k
-    c2, c3, c4, c5 = expansion
-    return 2 * c2 + 3 * c3 + 4 * c4 + 5 * c5
-
-
-def apery_multiplier(n: int) -> int:
-    """Coefficient of a in the least class member.
-
-    The (2, 3, 4, 5)-weighted degree of ``canonical_expansion(n)``.
-    """
-    return _degree(canonical_expansion(n))
-
-
-@dataclass(frozen=True)
-class AperyValues:
-    """Multiplier, least class member, and its gap candidate (value - a)."""
-
-    multiplier: int
-    value: int
-    gap: int
-
-
-def apery_values(seed: ArithmeticSeed, n: int) -> AperyValues:
-    """Closed-form Apery data for residue index 1 <= n <= a-1."""
-    if not 1 <= n <= seed.a - 1:
-        raise DomainError("residueOutOfRange", f"need 1 <= n <= {seed.a - 1}, got {n}")
-    mult = apery_multiplier(n)
-    value = mult * seed.a + n * seed.d
-    return AperyValues(mult, value, value - seed.a)
+    return sum(map(mul, expansion, count(2)))
 
 
 @dataclass(frozen=True)
@@ -145,21 +114,32 @@ def require_closed_form(seed: ArithmeticSeed) -> None:
         raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
 
 
+def _record(a: int, d: int, n: int) -> AperyRecord:
+    # one class expanded once; multiplier, value, gap and order read off it
+    exp = canonical_expansion(n)
+    mult = _degree(exp)
+    value = mult * a + n * d
+    return AperyRecord(n, mult, value, value - a, sum(exp), exp)
+
+
+def apery_values(seed: ArithmeticSeed, n: int) -> AperyRecord:
+    """Closed-form Apery record of residue index 1 <= n <= a-1.
+
+    Fails loudly outside ``require_closed_form``.
+    """
+    require_closed_form(seed)
+    if not 1 <= n <= seed.a - 1:
+        raise DomainError("residueOutOfRange", f"need 1 <= n <= {seed.a - 1}, got {n}")
+    return _record(seed.a, seed.d, n)
+
+
 def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     """Closed-form Apery set of the five-generator semigroup, classes 1..a-1.
 
-    Each class is expanded once; its multiplier, value, gap and order are
-    read off that expansion.  Fails loudly outside ``require_closed_form``.
+    Fails loudly outside ``require_closed_form``.
     """
     require_closed_form(seed)
-    a, d = seed.a, seed.d
-    records = []
-    for n in range(1, a):
-        exp = canonical_expansion(n)
-        mult = _degree(exp)
-        value = mult * a + n * d
-        records.append(AperyRecord(n, mult, value, value - a, sum(exp), exp))
-    return records
+    return [_record(seed.a, seed.d, n) for n in range(1, seed.a)]
 
 
 def apery_set_closed(seed: ArithmeticSeed) -> set[int]:
@@ -215,53 +195,18 @@ def uniqueness_check(gens, c: int) -> UniquenessReport:
 # six-generator conjectural formula
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadixDigits6:
-    """Digits of n in mixed radix (15, 10, 6, 3), plus correction-set flags."""
-
-    s4: int
-    t4: int
-    s3: int
-    t3: int
-    s2: int
-    t2: int
-    s1: int
-    t1: int
-    needs_unit_rebate: bool
-    needs_triple_rebate: bool
-
-
-def _in_rebate_set(n: int) -> bool:
-    # {12} plus the three arithmetic progressions 20, 23, 27 mod 15
-    if n == 12:
-        return True
-    return any(n >= base and (n - base) % 15 == 0 for base in (20, 23, 27))
-
-
-def _in_triple_rebate_set(n: int) -> bool:
-    return n >= 20 and (n - 20) % 15 == 0
-
-
-def radix_digits6(n: int) -> RadixDigits6:
-    """Decompose n >= 0 into the (15, 10, 6, 3) digit tuple with flags."""
-    if n < 0:
-        raise DomainError("invalidElement", "radix digits need n >= 0")
-    s4, t4 = divmod(n, 15)
-    s3, t3 = divmod(t4, 10)
-    s2, t2 = divmod(t3, 6)
-    s1, t1 = divmod(t2, 3)
-    return RadixDigits6(
-        s4, t4, s3, t3, s2, t2, s1, t1, _in_rebate_set(n), _in_triple_rebate_set(n)
-    )
-
-
 def apery_multiplier6(n: int) -> int:
-    """Conjectured multiplier for six generators: weights (2,3,4,5,6) with rebates."""
-    dig = radix_digits6(n)
-    base = 2 * dig.t1 + 3 * dig.s1 + 4 * dig.s2 + 5 * dig.s3 + 6 * dig.s4
-    if dig.needs_triple_rebate:
+    """Conjectured multiplier for six generators.
+
+    The (2, 3, 4, 5, 6)-weighted degree of ``triangular_digits(n, 6)``, less
+    a rebate: with n = 15q + r it is 3 when q > 0 and r == 5, and 1 when
+    r == 12 or when q > 0 and r == 8.
+    """
+    base = _degree(triangular_digits(n, 6))
+    q, r = divmod(n, 15)
+    if q and r == 5:
         return base - 3
-    if dig.needs_unit_rebate:
+    if r == 12 or (q and r == 8):
         return base - 1
     return base
 

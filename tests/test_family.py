@@ -19,8 +19,7 @@ from apsum import (
     minimality_check,
     order_oracle,
     partial_sum_generators,
-    radix_digits,
-    radix_digits6,
+    triangular_digits,
     uniqueness_check,
 )
 
@@ -46,22 +45,68 @@ def test_seed_below_a2_or_d1_rejected(a, d):
 @pytest.mark.parametrize(
     "n,expected",
     [
-        (8, (0, 8, 1, 2, 0, 2)),
-        (10, (1, 0, 0, 0, 0, 0)),
-        (22, (2, 2, 0, 2, 0, 2)),
+        (8, (2, 0, 1, 0)),
+        (10, (0, 0, 0, 1)),
+        (22, (2, 0, 0, 2)),
     ],
 )
 def test_radix_digit_examples(n, expected):
-    dig = radix_digits(n)
-    assert (dig.q3, dig.r3, dig.q2, dig.r2, dig.q1, dig.r1) == expected
+    assert triangular_digits(n, 5) == expected
 
 
 def test_radix_round_trip():
     for n in range(10_001):
-        dig = radix_digits(n)
-        assert 10 * dig.q3 + 6 * dig.q2 + 3 * dig.q1 + dig.r1 == n
-        assert 0 <= dig.r3 <= 9 and 0 <= dig.r2 <= 5 and 0 <= dig.r1 <= 2
-        assert dig.q1 <= 1 and dig.q2 <= 1
+        c2, c3, c4, c5 = triangular_digits(n, 5)
+        assert 10 * c5 + 6 * c4 + 3 * c3 + c2 == n
+        # remainders after the 10-, 6- and 3-digits
+        assert n - 10 * c5 <= 9 and 3 * c3 + c2 <= 5 and 0 <= c2 <= 2
+        assert c3 <= 1 and c4 <= 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: triangular_digits(n, 5),
+        lambda n: triangular_digits(n, 6),
+        canonical_expansion,
+        apery_multiplier6,
+    ],
+    ids=["triangular5", "triangular6", "canonical_expansion", "apery_multiplier6"],
+)
+def test_negative_index_rejected(call):
+    with pytest.raises(DomainError) as err:
+        call(-1)
+    assert err.value.code == "invalidElement"
+
+
+def _reference_expansion(n):
+    # reference: the (10, 6, 3) mixed-radix form with its r1 == 2 rewrite
+    q3, r3 = divmod(n, 10)
+    q2, r2 = divmod(r3, 6)
+    q1, r1 = divmod(r2, 3)
+    if r1 == 2 and q3 > 0:
+        return (0, q1, q2 + 2, q3 - 1)
+    return (r1, q1, q2, q3)
+
+
+def _reference_multiplier6(n):
+    # reference: the (15, 10, 6, 3) mixed-radix form with the literal rebate sets
+    s4, t4 = divmod(n, 15)
+    s3, t3 = divmod(t4, 10)
+    s2, t2 = divmod(t3, 6)
+    s1, t1 = divmod(t2, 3)
+    base = 2 * t1 + 3 * s1 + 4 * s2 + 5 * s3 + 6 * s4
+    if n >= 20 and (n - 20) % 15 == 0:
+        return base - 3
+    if n == 12 or any(n >= b and (n - b) % 15 == 0 for b in (20, 23, 27)):
+        return base - 1
+    return base
+
+
+def test_triangular_forms_match_the_mixed_radix_references():
+    for n in range(20_000):
+        assert canonical_expansion(n) == _reference_expansion(n), n
+        assert apery_multiplier6(n) == _reference_multiplier6(n), n
 
 
 @pytest.mark.parametrize(
@@ -81,6 +126,19 @@ def test_apery_values_range_check():
     with pytest.raises(DomainError) as err:
         apery_values(ArithmeticSeed(11, 2), 11)
     assert err.value.code == "residueOutOfRange"
+
+
+@pytest.mark.parametrize(
+    "seed,code",
+    [
+        (ArithmeticSeed(17, 2, 6), "closedFormUnavailable"),
+        (ArithmeticSeed(7, 1), "belowMinimalityThreshold"),
+    ],
+)
+def test_apery_values_outside_closed_form(seed, code):
+    with pytest.raises(DomainError) as err:
+        apery_values(seed, 3)
+    assert err.value.code == code
 
 
 def test_apery_set_golden_example():
@@ -183,9 +241,11 @@ def test_unique_balanced_solution_brute_force():
 
 def test_radix6_round_trip():
     for n in range(5_000):
-        dig = radix_digits6(n)
-        assert 15 * dig.s4 + 10 * dig.s3 + 6 * dig.s2 + 3 * dig.s1 + dig.t1 == n
-        assert dig.t4 <= 14 and dig.t3 <= 9 and dig.t2 <= 5 and dig.t1 <= 2
+        c2, c3, c4, c5, c6 = triangular_digits(n, 6)
+        assert 15 * c6 + 10 * c5 + 6 * c4 + 3 * c3 + c2 == n
+        # remainders after the 15-, 10-, 6- and 3-digits
+        assert n - 15 * c6 <= 14 and 6 * c4 + 3 * c3 + c2 <= 9
+        assert 3 * c3 + c2 <= 5 and c2 <= 2
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (12, 8), (20, 10)])
