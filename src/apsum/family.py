@@ -23,13 +23,7 @@ from math import gcd
 from operator import mul
 
 from .errors import DomainError
-from .oracle import (
-    apery_oracle,
-    is_minimal_generating,
-    representation_counts,
-    representations,
-    validate_generators,
-)
+from .oracle import apery_oracle, is_minimal_generating, validate_generators
 
 
 @dataclass(frozen=True)
@@ -175,20 +169,34 @@ class UniquenessReport:
 def uniqueness_check(gens, c: int) -> UniquenessReport:
     """Check every Apery element of <gens> w.r.t. c for a unique expansion.
 
-    Expansions range over the generators other than c, each coefficient
-    bounded by value // generator, so the count is complete by exhaustion.
-    Witness expansions are enumerated only for violated values.
+    Expansions range over the generators other than c.  A partial sum u of an
+    expansion of w in Ap(S, c) is again in Ap(S, c), since u - c in S would
+    put w - c in S; so the counts are a coin-change DP over the c Apery values
+    alone, O(m * c), and the witnesses of a violated value are listed in
+    lexicographic order by backtracking over per-suffix counts on them.
     """
     g = validate_generators(gens)
-    ap = apery_oracle(g, c)
+    order = sorted(apery_oracle(g, c))
     expansion_gens = tuple(x for x in g if x != c)
-    counts = representation_counts(expansion_gens, max(ap))
-    violations = []
-    for w in sorted(set(ap)):
-        if counts[w] != 1:
-            wits = tuple(representations(w, expansion_gens))
-            violations.append(UniquenessViolation(w, counts[w], wits))
-    return UniquenessReport(not violations, tuple(violations))
+    # suffix[i][w]: number of expansions of w over expansion_gens[i:]
+    suffix = [dict.fromkeys(order, 0) | {0: 1}]
+    for x in reversed(expansion_gens):
+        counts = dict(suffix[0])
+        for w in order:
+            if w - x in counts:
+                counts[w] += counts[w - x]
+        suffix.insert(0, counts)
+
+    def expansions(i: int, rest: int) -> list[tuple[int, ...]]:
+        if i == len(expansion_gens):
+            return [()]
+        x = expansion_gens[i]
+        return [(k,) + tail for k in range(rest // x + 1) if suffix[i + 1].get(rest - k * x)
+                for tail in expansions(i + 1, rest - k * x)]
+
+    violations = tuple(UniquenessViolation(w, n, tuple(expansions(0, w)))
+                       for w, n in suffix[0].items() if n != 1)
+    return UniquenessReport(not violations, violations)
 
 
 # ----------------------------------------------------------------------

@@ -22,13 +22,19 @@ from math import gcd
 from .errors import DomainError
 
 
-def validate_generators(gens) -> tuple[int, ...]:
-    """Normalize gens to a tuple, enforcing the generating-set invariants."""
+def _positive(gens) -> tuple[int, ...]:
+    """gens as a tuple of ints in any order; zero or negative ones are refused."""
     g = tuple(int(x) for x in gens)
-    if not g:
-        raise DomainError("invalidGenerators", "generator list is empty")
     if any(x <= 0 for x in g):
         raise DomainError("invalidGenerators", "generators must be positive")
+    return g
+
+
+def validate_generators(gens) -> tuple[int, ...]:
+    """Normalize gens to a tuple, enforcing the generating-set invariants."""
+    g = _positive(gens)
+    if not g:
+        raise DomainError("invalidGenerators", "generator list is empty")
     if any(y <= x for x, y in zip(g, g[1:])):
         raise DomainError("invalidGenerators", "generators must be strictly increasing")
     if reduce(gcd, g) != 1:
@@ -139,19 +145,20 @@ def order_oracle(s: int, gens) -> int:
 def pseudo_frobenius_oracle(gens) -> tuple[int, ...]:
     """Gaps x with x + s inside the semigroup for every nonzero element s.
 
-    Computed as the maximal Apery elements under the divisibility-style order
-    (w <= w' iff w' - w is a member), shifted down by the multiplicity.
+    PF(S) is the set of w - a over the Apery elements w in Ap(S, a), a the
+    multiplicity, that are maximal under w <= w' iff w' - w is in S
+    (Rosales and Garcia-Sanchez, *Numerical Semigroups*, Springer 2009,
+    ch. 2).  Since Ap(S, a) is closed under S-divisors, w is maximal iff
+    w + g lies outside it for every generator g != a, so the test costs
+    O(m) per element.
     """
     g = validate_generators(gens)
     a = g[0]
     ap = apery_oracle(g, a)
-    pf = []
-    for w in ap:
-        # x - w is a member iff it is at least the least member of its class
-        dominated = any(x > w and x - w >= ap[(x - w) % a] for x in ap)
-        if not dominated:
-            pf.append(w - a)
-    return tuple(sorted(pf))
+    return tuple(sorted(
+        w - a for w in ap
+        if all(ap[(w + x) % a] != w + x for x in g[1:])
+    ))
 
 
 def is_minimal_generating(gens) -> bool:
@@ -170,7 +177,7 @@ def representation_counts(gens, limit: int) -> list[int]:
     """Number of distinct coefficient vectors on gens summing to each of 0..limit."""
     counts = [0] * (limit + 1)
     counts[0] = 1
-    for g in gens:
+    for g in _positive(gens):
         for v in range(g, limit + 1):
             counts[v] += counts[v - g]
     return counts
@@ -178,7 +185,8 @@ def representation_counts(gens, limit: int) -> list[int]:
 
 def representation_count(value: int, gens) -> int:
     """Number of distinct coefficient vectors on gens summing to value."""
-    return representation_counts(gens, value)[value] if value >= 0 else 0
+    counts = representation_counts(gens, max(value, 0))
+    return counts[value] if value >= 0 else 0
 
 
 def representations(value: int, gens) -> list[tuple[int, ...]]:
@@ -187,7 +195,7 @@ def representations(value: int, gens) -> list[tuple[int, ...]]:
     Each coefficient is bounded by value // generator, so the search is a
     complete enumeration.
     """
-    gens = tuple(gens)
+    gens = _positive(gens)
     out: list[tuple[int, ...]] = []
     coeffs = [0] * len(gens)
 

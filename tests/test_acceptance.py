@@ -128,6 +128,19 @@ def log_spaced_seeds(a_lo, a_hi, count, d_hi):
     return seeds
 
 
+def wide_log_spaced_seeds(a_lo, a_hi, count):
+    """count seeds with a log-spaced in (a_lo, a_hi] and d spread over
+    1..40a, each d bumped to the next value coprime to its a."""
+    seeds = []
+    for i in range(1, count + 1):
+        a = round(a_lo * (a_hi / a_lo) ** (i / count))
+        d = 1 + (7919 * i) % (40 * a)
+        while gcd(a, d) != 1:
+            d = d % (40 * a) + 1
+        seeds.append((a, d))
+    return seeds
+
+
 def test_closed_forms_vs_oracle_to_a1000():
     start = time.perf_counter()
     seeds = log_spaced_seeds(120, 1000, 100, 15)
@@ -197,13 +210,7 @@ def test_criterion_5_order_histogram(cones):
 
 def test_cone_to_a1000():
     start = time.perf_counter()
-    seeds = [(1000, 7), (1000, 3001)]
-    for i in range(1, 42):
-        a = round(60 * (1000 / 60) ** (i / 41))
-        d = 1 + (7919 * i) % (40 * a)
-        while gcd(a, d) != 1:
-            d = d % (40 * a) + 1
-        seeds.append((a, d))
+    seeds = [(1000, 7), (1000, 3001)] + wide_log_spaced_seeds(60, 1000, 41)
     assert {a % 10 for a, _ in seeds} == set(range(10))  # every histogram residue row
     for a, d in seeds:
         seed = ArithmeticSeed(a, d)
@@ -320,6 +327,62 @@ def test_uniqueness_m5_to_a600():
         assert uniqueness_check(partial_sum_generators(ArithmeticSeed(a, d)), a).all_unique, (a, d)
     _report("8", f"m=5 unique Apery expansions on {len(seeds)} log-spaced seeds "
             "(41<=a<=600, d<=a)", time.perf_counter() - start)
+
+
+def test_closed_forms_vs_oracle_to_a5000():
+    start = time.perf_counter()
+    seeds = wide_log_spaced_seeds(1500, 5000, 12)
+    assert len(set(seeds)) == 12 and seeds[-1][0] == 5000
+    for a, d in seeds:
+        seed = ArithmeticSeed(a, d)
+        gens = partial_sum_generators(seed)
+        assert apery_set_closed(seed) == set(apery_oracle(gens, a)), (a, d)
+        assert pseudo_frobenius_set(seed).pf == pseudo_frobenius_oracle(gens), (a, d)
+        assert frobenius_number(seed) == frobenius_oracle(gens), (a, d)
+    _report("2+3", f"Apery set, PF set and Frobenius = oracle on {len(seeds)} log-spaced "
+            "seeds (1500<a<=5000, d<=40a)", time.perf_counter() - start)
+
+
+def test_uniqueness_m5_to_a2000():
+    start = time.perf_counter()
+    seeds = wide_log_spaced_seeds(600, 2000, 12)
+    assert len(set(seeds)) == 12 and seeds[-1][0] == 2000
+    for a, d in seeds:
+        assert uniqueness_check(partial_sum_generators(ArithmeticSeed(a, d)), a).all_unique, (a, d)
+    _report("8", f"m=5 unique Apery expansions on {len(seeds)} log-spaced seeds "
+            "(600<a<=2000, d<=40a)", time.perf_counter() - start)
+
+
+def test_six_generator_sweeps_to_a2000():
+    # m = 6 verdicts are data: only the record shape and the
+    # counterexample list are asserted
+    start = time.perf_counter()
+    seeds = wide_log_spaced_seeds(150, 2000, 12)
+    for a, d in seeds:
+        gens = partial_sum_generators(ArithmeticSeed(a, d, 6))
+        for report in (sweep_uniqueness(6, (a, a), (d, d)), sweep_gamma6((a, a), (d, d))):
+            (record,) = report.records
+            counterexample = {"uniqueness": "violation", "gamma6": "mismatch"}[report.kind]
+            assert record["verdict"] in ("match", "skip", counterexample), (a, d)
+            assert report.counterexamples == ([record] if record["verdict"] == counterexample else [])
+            witness = record.get("witness")
+            keys = ["a", "d", "m", "verdict"] + ["witness"] * (witness is not None) + ["ms"]
+            assert list(record) == keys and (record["a"], record["d"], record["m"]) == (a, d, 6)
+            if record["verdict"] == "skip":
+                assert witness == {"reason": "notMinimal"}
+            elif record["verdict"] == "violation":
+                assert list(witness) == ["value", "count", "expansions", "violations"]
+                assert len(witness["expansions"]) == min(witness["count"], 8) > 1
+                for e in witness["expansions"]:
+                    assert sum(c * g for c, g in zip(e, gens[1:])) == witness["value"]
+            elif record["verdict"] == "mismatch":
+                assert list(witness) == ["mismatches", "count"]
+                assert 1 <= len(witness["mismatches"]) == min(witness["count"], 8)
+                assert all(miss["conjectured"] != miss["oracle"] for miss in witness["mismatches"])
+            else:
+                assert witness is None
+    _report("8", f"m=6 uniqueness and gamma6 records well formed on {len(seeds)} log-spaced "
+            "seeds (150<a<=2000, d<=40a)", time.perf_counter() - start)
 
 
 def test_criterion_9_property_suites():

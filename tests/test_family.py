@@ -1,9 +1,15 @@
 """Closed forms for the five-generator family, and the conjectural dim-6 data."""
 
+from functools import cache, reduce
 from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import apsum.family
+import apsum.oracle
 from apsum import (
     ArithmeticSeed,
     DomainError,
@@ -22,6 +28,8 @@ from apsum import (
     triangular_digits,
     uniqueness_check,
 )
+from apsum.family import UniquenessReport, UniquenessViolation
+from apsum.oracle import representation_counts, representations, validate_generators
 
 
 def test_partial_sum_examples():
@@ -215,6 +223,73 @@ def test_uniqueness_reports_violations_with_witnesses():
     assert set(violation.expansions) == {(3, 0), (0, 2)}
     for v in report.violations:
         assert v.count == len(v.expansions) > 1
+
+
+@cache
+def reference_uniqueness(gens, c):
+    """Reference report: the knapsack over every integer up to max Apery,
+    plus full enumeration of the witnesses of each violated value."""
+    g = validate_generators(gens)
+    ap = apery_oracle(g, c)
+    expansion_gens = tuple(x for x in g if x != c)
+    counts = representation_counts(expansion_gens, max(ap))
+    violations = tuple(
+        UniquenessViolation(w, counts[w], tuple(representations(w, expansion_gens)))
+        for w in sorted(ap)
+        if counts[w] != 1
+    )
+    return UniquenessReport(not violations, violations)
+
+
+@st.composite
+def generators_and_generator_base(draw):
+    """1-6 strictly increasing gcd-1 generators and one of them as base."""
+    gens = tuple(sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=6))))
+    if reduce(gcd, gens) != 1:
+        gens = tuple(sorted(set(gens[:5]) | {draw(st.sampled_from((1, 61, 67)))}))
+    return gens, draw(st.sampled_from(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators_and_generator_base())
+def test_uniqueness_check_matches_reference_on_random_generators(case):
+    gens, c = case
+    assert uniqueness_check(gens, c) == reference_uniqueness(gens, c)
+
+
+# violations with their witnesses at m = 7 and 8, plus clean and violated
+# partial-sum seeds at m = 5..8
+VIOLATION_SEEDS = [(7, 34, 1), (7, 200, 3), (8, 200, 1)]
+PARTIAL_SUM_SEEDS = VIOLATION_SEEDS + [
+    (m, a, d) for m in (5, 6, 7, 8) for a, d in ((16, 1), (23, 4), (40, 7), (61, 2), (97, 5), (150, 7))
+]
+
+
+@pytest.mark.parametrize("m,a,d", PARTIAL_SUM_SEEDS)
+def test_uniqueness_check_matches_reference_on_partial_sums(m, a, d):
+    gens = partial_sum_generators(ArithmeticSeed(a, d, m))
+    report = uniqueness_check(gens, a)
+    assert report == reference_uniqueness(gens, a)
+    if (m, a, d) in VIOLATION_SEEDS:
+        assert report.violations
+    for v in report.violations:
+        assert v.count == len(v.expansions) > 1
+        for e in v.expansions:
+            assert sum(map(mul, e, gens[1:])) == v.value
+
+
+def test_uniqueness_check_needs_no_integer_range_knapsack(monkeypatch):
+    gens = partial_sum_generators(ArithmeticSeed(200, 3, 7))
+    expected = reference_uniqueness(gens, 200)
+    assert len(expected.violations) == 16
+
+    def refuse(*args):
+        raise AssertionError("uniqueness_check ran a knapsack over the integer range")
+
+    for module in (apsum, apsum.oracle, apsum.family):
+        for name in ("representation_counts", "representations"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert uniqueness_check(gens, 200) == expected
 
 
 def test_unique_balanced_solution_brute_force():

@@ -4,7 +4,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apsum import (
@@ -21,7 +21,7 @@ from apsum import (
     representations,
     validate_generators,
 )
-from apsum.oracle import membership_mask
+from apsum.oracle import membership_mask, representation_counts
 
 GENS_11_2 = (11, 24, 39, 56, 75)
 GENS_23_1 = (23, 47, 72, 98, 125)
@@ -106,6 +106,31 @@ def test_representations_agree_with_count():
         for coeffs in reps:
             assert sum(c * g for c, g in zip(coeffs, GENS_11_2[1:])) == value
 
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda gens: representation_counts(gens, 5),
+        lambda gens: representation_count(5, gens),
+        lambda gens: representation_count(-1, gens),
+        lambda gens: representations(5, gens),
+    ],
+    ids=["representation_counts", "representation_count", "representation_count_negative",
+         "representations"],
+)
+@pytest.mark.parametrize("gens", [(0, 2), (-1, 2), (3, 0), (2, -3)])
+def test_representation_queries_reject_nonpositive_generators(call, gens):
+    with pytest.raises(DomainError) as err:
+        call(gens)
+    assert err.value.code == "invalidGenerators"
+
+
+def test_representation_queries_take_subsets_in_any_order():
+    # callers pass slices such as gens[1:], with no gcd or order condition
+    assert representation_count(12, (6, 4)) == representation_count(12, (4, 6)) == 2
+    assert representations(12, (6, 4)) == [(0, 3), (2, 0)]
+    assert representation_counts((), 3) == [1, 0, 0, 0]
 
 ORACLE_GRID = [(a, d) for a in (11, 14, 23, 30, 41) for d in (1, 3, 7) if a % d or d == 1]
 
@@ -249,3 +274,25 @@ SIEVE_CASES = [
 def test_apery_oracle_matches_sieve_on_chosen_bases(gens, c):
     assert apery_oracle(gens, c) == sieve_apery(gens, c)
     assert pseudo_frobenius_oracle(gens) == sieve_pseudo_frobenius(gens)
+
+
+def all_pairs_pseudo_frobenius(gens):
+    """Reference PF set: Apery elements not below any other under
+    w <= w' iff w' - w is a member, by scanning every pair."""
+    g = validate_generators(gens)
+    a = g[0]
+    ap = apery_oracle(g, a)
+    return tuple(sorted(
+        w - a for w in ap
+        if not any(x > w and x - w >= ap[(x - w) % a] for x in ap)
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 7), st.integers(2, 300).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(1, 3 * a))))
+def test_pseudo_frobenius_oracle_matches_all_pairs_scan_on_partial_sums(m, seed_pair):
+    a, d = seed_pair
+    assume(gcd(a, d) == 1)
+    gens = partial_sum_generators(ArithmeticSeed(a, d, m))
+    assert pseudo_frobenius_oracle(gens) == all_pairs_pseudo_frobenius(gens)
