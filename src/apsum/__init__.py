@@ -68,7 +68,6 @@ from .oracle import (
     validate_generators,
 )
 from .sweeps import (
-    CheckpointCursor,
     SweepReport,
     resume,
     seed_grid,

@@ -1,9 +1,10 @@
 """Closed-form pseudo-Frobenius sets, Frobenius numbers, and type.
 
-Valid for the five-generator family with a >= 11.  For a >= 20 the
-pseudo-Frobenius gaps sit at fixed index offsets below a that depend only on
-a mod 10, plus the two fixed classes 5 and 8.  For 11 <= a <= 19 explicit
-per-a lists apply.  The Frobenius number is the largest pseudo-Frobenius gap.
+Valid for the five-generator family with a >= 11.  The pseudo-Frobenius
+gaps sit at fixed index offsets below a that depend only on a mod 10, plus
+the two fixed classes 5 and 8.  For 11 <= a <= 19 this is the same rule with
+the offsets that reach index 8 or below dropped: the small-a lists are its
+q = 1 case.  The Frobenius number is the largest pseudo-Frobenius gap.
 Every table here is verified against the brute-force oracle over the
 acceptance grid.
 """
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 from .family import ArithmeticSeed, apery_values, require_closed_form
 
-# Index offsets i such that gap(a - i) is pseudo-Frobenius, keyed by a mod 10
-# (a >= 20).  Offset 7 is absent for residue 3: gap(a-1) - gap(a-7) equals
-# the degree-4 generator, so gap(a-7) is never maximal.
+# Index offsets i such that gap(a - i) is pseudo-Frobenius, keyed by a mod 10;
+# below a = 20 only those with a - i > 8 count.  Offset 7 is absent for
+# residue 3: gap(a-1) - gap(a-7) equals the degree-4 generator, so gap(a-7)
+# is never maximal.
 PF_OFFSETS_BY_RESIDUE = {
     0: (1, 2, 3, 5, 6),
     1: (1, 2, 3, 4, 6, 7),
@@ -30,19 +32,6 @@ PF_OFFSETS_BY_RESIDUE = {
     9: (1, 2, 4, 5),
 }
 
-# Residue indices n whose gaps are pseudo-Frobenius for small a.
-PF_INDICES_SMALL_A = {
-    11: (9, 10, 5, 8),
-    12: (9, 11, 5, 8),
-    13: (9, 11, 12, 5, 8),
-    14: (9, 11, 12, 13, 5, 8),
-    15: (9, 12, 14, 5, 8),
-    16: (14, 15, 5, 8),
-    17: (14, 15, 16, 5, 8),
-    18: (14, 15, 17, 5, 8),
-    19: (14, 15, 17, 18, 5, 8),
-}
-
 
 @dataclass(frozen=True)
 class PFResult:
@@ -51,21 +40,18 @@ class PFResult:
     pf: tuple[int, ...]
     frobenius: int
     type_count: int
-    source_path: str  # "largeA" | "smallA"
+    # "largeA" for a >= 20, else "smallA"; one rule computes both, and the
+    # names are kept because the output reports them
+    source_path: str
 
 
 def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
     """Closed-form pseudo-Frobenius data of the five-generator semigroup."""
     require_closed_form(seed)
     a = seed.a
-    if a >= 20:
-        indices = [a - i for i in PF_OFFSETS_BY_RESIDUE[a % 10]] + [5, 8]
-        source = "largeA"
-    else:
-        indices = list(PF_INDICES_SMALL_A[a])
-        source = "smallA"
+    indices = {a - i for i in PF_OFFSETS_BY_RESIDUE[a % 10] if a - i > 8} | {5, 8}
     pf = tuple(sorted(apery_values(seed, n).gap for n in indices))
-    return PFResult(pf, max(pf), len(pf), source)
+    return PFResult(pf, max(pf), len(pf), "largeA" if a >= 20 else "smallA")
 
 
 def frobenius_number(seed: ArithmeticSeed) -> int:

@@ -2,12 +2,14 @@
 
 The defining ideal of the monomial curve (t^s1, ..., t^s5) is generated by
 binomials x^u - x^v with equal weighted degree (x_i weighted by s_i).  This
-module carries the explicit catalogs for every admissible seed and verifies
-them by a dimension count: adjoin x1, pass to the quotient k[x2..x5], run
-Buchberger on the surviving monomials/binomials, and count standard
-monomials by a walk along the staircase of the leading monomials, in runs
-along the last variable.  The catalog generates the full defining ideal iff
-that count equals a, and it is minimal iff every drop-one variant fails it.
+module builds the catalog of every admissible seed from one rule in the
+residue of a mod 10; the small-a catalogs are its q = 1 case, and their
+labels p..., "extra" are kept as output names.  It verifies a catalog by a
+dimension count: adjoin x1, pass to the quotient k[x2..x5], run Buchberger
+on the surviving monomials/binomials, and count standard monomials by a
+walk along the staircase of the leading monomials, in runs along the last
+variable.  The catalog generates the full defining ideal iff that count
+equals a, and it is minimal iff every drop-one variant fails it.
 
 The Buchberger engine works in grevlex only, on the fragment the count
 needs: monic monomials and binomials, each one pair (lead, tail).  It never
@@ -87,10 +89,11 @@ CORE_GENERATORS = {
 
 
 def residue_family(q: int, d: int, r: int) -> dict[str, tuple[Exponents, Exponents]]:
-    """The residue-dependent generators for a = 10q + r, a >= 19.
+    """The residue-dependent generators for a = 10q + r, every a >= 11.
 
-    Exponents may come out negative for excluded seeds; generator_catalog
-    validates and reports them.
+    q = 1 gives the small-a catalogs.  The first entry, the x5 power, can
+    have a negative x1 exponent; generator_catalog trades it up where the
+    catalog needs it and reports any exponent still negative.
     """
     p = 5 * q + d
     if r == 0:
@@ -169,102 +172,6 @@ def residue_family(q: int, d: int, r: int) -> dict[str, tuple[Exponents, Exponen
     raise DomainError("invalidSeed", f"residue {r} out of range")
 
 
-def small_a_family(a: int, d: int) -> dict[str, tuple[Exponents, Exponents]]:
-    """The seed-specific generators for 11 <= a <= 18."""
-    if a == 11:
-        return {
-            "p11": (_e(d - 1, 5), _e(e4=1, e5=1)),
-            "p12": (_e(d + 4, 2), _e(e3=1, e5=1)),
-            "p13": (_e(d + 7), _e(e2=1, e5=1)),
-            "p14": (_e(d + 6, 1), _e(e4=2)),
-        }
-    if a == 12:
-        return {
-            "p21": (_e(d + 1, 4), _e(e4=1, e5=1)),
-            "p22": (_e(d + 6, 1), _e(e3=1, e5=1)),
-            "p23": (_e(d + 8), _e(e4=2)),
-        }
-    if a == 13:
-        return {
-            "p31": (_e(d + 3, 3), _e(e4=1, e5=1)),
-            "p32": (_e(d + 8), _e(e3=1, e5=1)),
-            "p33": (_e(d + 2, 5), _e(e4=3)),
-            "p34": (_e(d + 7, 2), _e(e3=1, e4=2)),
-        }
-    if a == 14:
-        return {
-            "p41": (_e(d + 5, 2), _e(e4=1, e5=1)),
-            "p42": (_e(d + 10), _e(e2=1, e3=1, e5=1)),
-            "p43": (_e(d + 4, 4), _e(e4=3)),
-            "p44": (_e(d + 9, 1), _e(e3=1, e4=2)),
-        }
-    if a == 15:
-        return {
-            "p51": (_e(d, 5), _e(e5=2)),
-            "p52": (_e(d + 7, 1), _e(e4=1, e5=1)),
-            "p53": (_e(d + 6, 3), _e(e4=3)),
-            "p54": (_e(d + 11), _e(e3=1, e4=2)),
-        }
-    if a == 16:
-        return {
-            "p61": (_e(d + 2, 4), _e(e5=2)),
-            "p62": (_e(d + 9), _e(e4=1, e5=1)),
-            "p63": (_e(d + 8, 2), _e(e4=3)),
-        }
-    if a == 17:
-        return {
-            "p71": (_e(d + 4, 3), _e(e5=2)),
-            "p72": (_e(d + 3, 5), _e(e4=2, e5=1)),
-            "p73": (_e(d + 8, 2), _e(e3=1, e4=1, e5=1)),
-            "p74": (_e(d + 11), _e(e2=1, e4=1, e5=1)),
-            "p75": (_e(d + 10, 1), _e(e4=3)),
-        }
-    if a == 18:
-        return {
-            "p81": (_e(d + 6, 2), _e(e5=2)),
-            "p82": (_e(d + 10, 1), _e(e3=1, e4=1, e5=1)),
-            "p83": (_e(d + 5, 4), _e(e4=2, e5=1)),
-            "p84": (_e(d + 12), _e(e4=3)),
-        }
-    raise DomainError("invalidSeed", f"small-a family needs 11 <= a <= 18, got {a}")
-
-
-def _closing_generator(a: int, d: int) -> tuple[Exponents, Exponents] | None:
-    """Extra generator in weight 2*s5 for a <= 14; a >= 15 needs none.
-
-    The lhs is a monomial in x1..x4 of the same weighted degree as x5^2,
-    chosen so the ideal gains a pure power of x5 once x1 is set to zero.
-    For the d with no natural pattern instance, the canonical-expansion
-    monomial of the class of 2*s5 is used (a=11 d=1: x1^4 x3 x4; a=14 d=1:
-    x1^7 x4).
-    """
-    if a == 11:
-        if d == 1:
-            lhs = _e(4, 0, 1, 1)
-        elif d <= 4:
-            lhs = _e(d - 2, 3, 2)
-        elif d <= 7:
-            lhs = _e(d - 5, 6, 1)
-        else:
-            lhs = _e(d - 8, 9)
-        return (lhs, _e(e5=2))
-    if a == 12:
-        if d == 1:
-            lhs = _e(1, 2, 2)
-        elif d == 5:
-            lhs = _e(2, 5, 1)
-        else:
-            lhs = _e(d - 6, 8)
-        return (lhs, _e(e5=2))
-    if a == 13:
-        lhs = _e(d - 1, 4, 1) if d <= 3 else _e(d - 4, 7)
-        return (lhs, _e(e5=2))
-    if a == 14:
-        lhs = _e(7, 0, 0, 1) if d == 1 else _e(d - 2, 6)
-        return (lhs, _e(e5=2))
-    return None
-
-
 _SMALL_A_CORE = {
     11: ("g3", "g5", "g6"),
     12: ("g3", "g5", "g6", "g7"),
@@ -277,36 +184,47 @@ _SMALL_A_CORE = {
 }
 
 
+# The two seeds whose closing generator is not the traded first entry: the
+# canonical-expansion monomial of its class, in weight 2 * s5, stands instead.
+_CLOSING_EXCEPTIONS = {(11, 1): _e(4, 0, 1, 1), (14, 1): _e(7, 0, 0, 1)}
+
+
+def _lift_x1(lhs: Exponents) -> Exponents:
+    """Trade x2^3 for x1^3 x3 (equal weight, 6a + 3d) until the x1 exponent is >= 0."""
+    k = max(0, -(lhs[0] // 3))
+    return _e(lhs[0] + 3 * k, lhs[1] - 3 * k, lhs[2] + k, *lhs[3:])
+
+
 def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[BinomialGenerator]:
     """Minimal generating set of the defining ideal for the seed.
 
-    Dispatch: 11 <= a <= 18 uses the small-a family plus a core subset and,
-    for a <= 14, one closing generator; (21, 1) and (21, 2) use a residue-1
-    family with its first element replaced; every other a >= 19 uses the full
-    core plus the residue family.  strict_21 drops the core generators at
-    a == 21, producing the variant that fails the dimension check (kept so
-    the verifier can record the adjudication).
+    Every a >= 11 uses residue_family(a // 10, d, a % 10); the small-a
+    catalogs are its q = 1 case.  Its first entry, the x5^(q+1) generator,
+    moves to the end as "extra" when a <= 14 or when its x1 exponent is
+    negative (only (21, 1) and (21, 2)); there x2^3 is traded for x1^3 x3
+    until that exponent is >= 0.  For 11 <= a <= 18 the family entries left
+    in place carry the output names p{r}1, p{r}2, ... and are followed by a
+    core subset; for a >= 19 the full core comes first.  strict_21 drops the
+    core where the first entry moved at a >= 19, producing the a == 21
+    variant that fails the dimension check (kept so the verifier can record
+    the adjudication).
     """
     require_closed_form(seed)
     a, d = seed.a, seed.d
     q, r = divmod(a, 10)
-    items: list[tuple[str, tuple[Exponents, Exponents]]] = []
-    if 11 <= a <= 18:
-        items += sorted(small_a_family(a, d).items())
+    family = list(residue_family(q, d, r).items())
+    _, (lhs, rhs) = family[0]
+    moved = a <= 14 or lhs[0] < 0
+    if moved:
+        family = family[1:]
+    if a <= 18:
+        items = [(f"p{r}{i}", v) for i, (_, v) in enumerate(family, 1)]
         items += [(k, CORE_GENERATORS[k]) for k in _SMALL_A_CORE[a]]
-        closing = _closing_generator(a, d)
-        if closing is not None:
-            items.append(("extra", closing))
-    elif (a, d) in ((21, 1), (21, 2)):
-        if not strict_21:
-            items += [(k, CORE_GENERATORS[k]) for k in sorted(CORE_GENERATORS)]
-        fam = residue_family(q, d, 1)
-        items += sorted((k, v) for k, v in fam.items() if k != "h11")
-        # replacement for h11, whose x1-exponent would go negative here
-        items.append(("extra", (_e(d, 6, 1), _e(e5=3))))
     else:
-        items += [(k, CORE_GENERATORS[k]) for k in sorted(CORE_GENERATORS)]
-        items += sorted(residue_family(q, d, r).items())
+        items = [] if strict_21 and moved else sorted(CORE_GENERATORS.items())
+        items += family
+    if moved:
+        items.append(("extra", (_CLOSING_EXCEPTIONS.get((a, d)) or _lift_x1(lhs), rhs)))
 
     catalog = []
     for label, (lhs, rhs) in items:

@@ -1,5 +1,7 @@
 """Catalogs, the Buchberger engine, standard monomials, dimension checks."""
 
+import hashlib
+import json
 from itertools import product
 from math import gcd
 
@@ -54,6 +56,26 @@ def test_catalog_21_variants():
     full = generator_catalog(ArithmeticSeed(21, 1))
     assert labels(full)[:7] == ["g1", "g2", "g3", "g4", "g5", "g6", "g7"]
     assert len(full) == 12
+
+
+# sha256 of the catalogs in test_catalog_pin: it pins labels, order and
+# exponents, which the dimension gates do not see
+CATALOG_PIN = "6baf15ee37abd9db5056bb82dbd97f768a781eaf25ccbfb539ff5f6941b84ed6"
+
+
+def test_catalog_pin():
+    # every repair threshold (closing generators, the a = 21 variants) lies below d = 8
+    entries = []
+    for a in range(11, 61):
+        for d in range(1, 46):
+            if gcd(a, d) != 1:
+                continue
+            for strict in (False, True) if a == 21 else (False,):
+                catalog = generator_catalog(ArithmeticSeed(a, d), strict_21=strict)
+                entries.append([a, d, strict, catalog_to_json(catalog)])
+    assert len(entries) == 1406
+    blob = json.dumps(entries, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == CATALOG_PIN
 
 
 def test_catalog_homogeneous_everywhere():

@@ -2,6 +2,7 @@
 
 import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_resume_mid_grid(tmp_path):
     path = str(tmp_path / "sweep.jsonl")
     full = sweep_uniqueness(5, (11, 13), (1, 3), checkpoint_path=path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
 
     partial_path = str(tmp_path / "partial.jsonl")
     with open(partial_path, "w") as fh:
@@ -125,7 +126,7 @@ def test_checkpoint_resume_mid_grid(tmp_path):
 def test_checkpoint_truncated_final_line(tmp_path):
     path = str(tmp_path / "sweep.jsonl")
     sweep_uniqueness(5, (11, 12), (1, 2), checkpoint_path=path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     with open(path, "wb") as fh:
         fh.write(raw[:-7])  # chop into the last record
     cursor = resume(path)
@@ -144,7 +145,7 @@ def test_checkpoint_corrupt_record_is_recomputed(tmp_path, damage):
     path = str(tmp_path / "sweep.jsonl")
     fresh = sweep_uniqueness(5, (11, 12), (1, 2))
     sweep_uniqueness(5, (11, 12), (1, 2), checkpoint_path=path)
-    lines = open(path, "rb").read().splitlines(keepends=True)
+    lines = Path(path).read_bytes().splitlines(keepends=True)
     if damage == "unterminated":
         bad = len(lines)  # the last record is complete JSON, but its newline is missing
         lines[-1] = lines[-1].rstrip(b"\n")
