@@ -2,12 +2,13 @@
 
 The defining ideal of the monomial curve (t^s1, ..., t^s5) is generated by
 binomials x^u - x^v with equal weighted degree (x_i weighted by s_i).  This
-module builds the catalog of every admissible seed from one rule in the
-residue of a mod 10; the small-a catalogs are its q = 1 case, and their
-labels p..., "extra" are kept as output names.  It verifies a catalog by a
-dimension count: adjoin x1, pass to the quotient k[x2..x5], run Buchberger
-on the surviving monomials/binomials, and count standard monomials by a
-walk along the staircase of the leading monomials, in runs along the last
+module builds the catalog of every admissible seed from one rule: for
+offsets k fixed by r = a mod 10, a power of x1 times x2^k against the
+canonical expansion of class a + k; small-a catalogs are its q = 1 case,
+with output labels p..., "extra".  It verifies a catalog by a dimension
+count: adjoin x1, pass to the quotient k[x2..x5], run Buchberger on the
+surviving monomials/binomials, and count standard monomials by a walk
+along the staircase of the leading monomials, in runs along the last
 variable.  The catalog generates the full defining ideal iff that count
 equals a, and it is minimal iff every drop-one variant fails it.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .family import ArithmeticSeed, partial_sum_generators, require_closed_form
+from .family import ArithmeticSeed, _degree, canonical_expansion, partial_sum_generators, require_closed_form
 
 Exponents = tuple[int, ...]
 
@@ -88,88 +89,47 @@ CORE_GENERATORS = {
 }
 
 
+# Offsets k of the residue family (see residue_family), keyed by a mod 10.
+FAMILY_OFFSETS_BY_RESIDUE = {
+    0: (0, 2),
+    1: (9, 5, 2, 0, 1),
+    2: (8, 4, 1, 0),
+    3: (7, 3, 0, 5, 2),
+    4: (6, 2, 0, 4, 1),
+    5: (5, 1, 3, 0),
+    6: (4, 0, 2),
+    7: (3, 5, 2, 0, 1),
+    8: (2, 1, 4, 0),
+    9: (1, 0, 3),
+}
+
+
+def _family_entry(a: int, d: int, k: int) -> tuple[Exponents, Exponents]:
+    exp = canonical_expansion(a + k)
+    return _e(_degree(exp) + d - 2 * k, k), _e(0, *exp)
+
+
 def residue_family(q: int, d: int, r: int) -> dict[str, tuple[Exponents, Exponents]]:
     """The residue-dependent generators for a = 10q + r, every a >= 11.
 
-    q = 1 gives the small-a catalogs.  The first entry, the x5 power, can
-    have a negative x1 exponent; generator_catalog trades it up where the
+    Entry h{r}{i}, for the i-th offset k of FAMILY_OFFSETS_BY_RESIDUE[r] and
+    class n = a + k, is x1^(deg(n) + d - 2k) x2^k - x^canonical_expansion(n),
+    deg the (2, 3, 4, 5)-weighted degree; both sides weigh (deg(n) + d) a + n d.
+    q = 1 gives the small-a catalogs.  The first entry, the x5^(q+1) power,
+    can have a negative x1 exponent; generator_catalog trades it up where the
     catalog needs it and reports any exponent still negative.
     """
-    p = 5 * q + d
-    if r == 0:
-        return {
-            "h01": (_e(p), _e(e5=q)),
-            "h02": (_e(p - 1, 2), _e(e4=2, e5=q - 1)),
-        }
-    if r == 1:
-        return {
-            "h11": (_e(p - 13, 9), _e(e5=q + 1)),
-            "h12": (_e(p - 6, 5), _e(e4=1, e5=q)),
-            "h13": (_e(p - 1, 2), _e(e3=1, e5=q)),
-            "h14": (_e(p + 2), _e(e2=1, e5=q)),
-            "h15": (_e(p + 1, 1), _e(e4=2, e5=q - 1)),
-        }
-    if r == 2:
-        return {
-            "h21": (_e(p - 11, 8), _e(e5=q + 1)),
-            "h22": (_e(p - 4, 4), _e(e4=1, e5=q)),
-            "h23": (_e(p + 1, 1), _e(e3=1, e5=q)),
-            "h24": (_e(p + 3), _e(e4=2, e5=q - 1)),
-        }
-    if r == 3:
-        return {
-            "h31": (_e(p - 9, 7), _e(e5=q + 1)),
-            "h32": (_e(p - 2, 3), _e(e4=1, e5=q)),
-            "h33": (_e(p + 3), _e(e3=1, e5=q)),
-            "h34": (_e(p - 3, 5), _e(e4=3, e5=q - 1)),
-            "h35": (_e(p + 2, 2), _e(e3=1, e4=2, e5=q - 1)),
-        }
-    if r == 4:
-        return {
-            "h41": (_e(p - 7, 6), _e(e5=q + 1)),
-            "h42": (_e(p, 2), _e(e4=1, e5=q)),
-            "h43": (_e(p + 5), _e(e2=1, e3=1, e5=q)),
-            "h44": (_e(p - 1, 4), _e(e4=3, e5=q - 1)),
-            "h45": (_e(p + 4, 1), _e(e3=1, e4=2, e5=q - 1)),
-        }
-    if r == 5:
-        return {
-            "h51": (_e(p - 5, 5), _e(e5=q + 1)),
-            "h52": (_e(p + 2, 1), _e(e4=1, e5=q)),
-            "h53": (_e(p + 1, 3), _e(e4=3, e5=q - 1)),
-            "h54": (_e(p + 6), _e(e3=1, e4=2, e5=q - 1)),
-        }
-    if r == 6:
-        return {
-            "h61": (_e(p - 3, 4), _e(e5=q + 1)),
-            "h62": (_e(p + 4), _e(e4=1, e5=q)),
-            "h63": (_e(p + 3, 2), _e(e4=3, e5=q - 1)),
-        }
-    if r == 7:
-        # h75 pairs with x4^3 x5^(q-1): the x2-power on the x4^3 column
-        # descends 3, 2, 1, 0 across residues 5..8, and only the cube
-        # balances the weights at residue 7.
-        return {
-            "h71": (_e(p - 1, 3), _e(e5=q + 1)),
-            "h72": (_e(p - 2, 5), _e(e4=2, e5=q)),
-            "h73": (_e(p + 3, 2), _e(e3=1, e4=1, e5=q)),
-            "h74": (_e(p + 6), _e(e2=1, e4=1, e5=q)),
-            "h75": (_e(p + 5, 1), _e(e4=3, e5=q - 1)),
-        }
-    if r == 8:
-        return {
-            "h81": (_e(p + 1, 2), _e(e5=q + 1)),
-            "h82": (_e(p + 5, 1), _e(e3=1, e4=1, e5=q)),
-            "h83": (_e(p, 4), _e(e4=2, e5=q)),
-            "h84": (_e(p + 7), _e(e4=3, e5=q - 1)),
-        }
-    if r == 9:
-        return {
-            "h91": (_e(p + 3, 1), _e(e5=q + 1)),
-            "h92": (_e(p + 7), _e(e3=1, e4=1, e5=q)),
-            "h93": (_e(p + 2, 3), _e(e4=2, e5=q)),
-        }
-    raise DomainError("invalidSeed", f"residue {r} out of range")
+    offsets = FAMILY_OFFSETS_BY_RESIDUE.get(r)
+    if offsets is None:
+        raise DomainError("invalidSeed", f"residue {r} out of range")
+    return {f"h{r}{i}": _family_entry(10 * q + r, d, k) for i, k in enumerate(offsets, 1)}
+
+
+def _has_strict_variant(a: int, d: int) -> bool:
+    """Whether the first family entry moves at a >= 19, its x1 exponent being
+    negative: only (21, 1) and (21, 2).  strict_21 drops the core there, and
+    gastinger_verify adjudicates the two variants."""
+    return a >= 19 and _family_entry(a, d, FAMILY_OFFSETS_BY_RESIDUE[a % 10][0])[0][0] < 0
 
 
 _SMALL_A_CORE = {
@@ -198,23 +158,23 @@ def _lift_x1(lhs: Exponents) -> Exponents:
 def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[BinomialGenerator]:
     """Minimal generating set of the defining ideal for the seed.
 
-    Every a >= 11 uses residue_family(a // 10, d, a % 10); the small-a
-    catalogs are its q = 1 case.  Its first entry, the x5^(q+1) generator,
-    moves to the end as "extra" when a <= 14 or when its x1 exponent is
-    negative (only (21, 1) and (21, 2)); there x2^3 is traded for x1^3 x3
-    until that exponent is >= 0.  For 11 <= a <= 18 the family entries left
-    in place carry the output names p{r}1, p{r}2, ... and are followed by a
-    core subset; for a >= 19 the full core comes first.  strict_21 drops the
-    core where the first entry moved at a >= 19, producing the a == 21
-    variant that fails the dimension check (kept so the verifier can record
-    the adjudication).
+    Every a >= 11 uses residue_family(a // 10, d, a % 10), one binomial per
+    offset k: x1^i x2^k against the canonical expansion of class a + k.  Its
+    first entry, the x5^(q+1) generator, moves to the end as "extra" when
+    a <= 14 or when its x1 exponent is negative at a >= 19 (only (21, 1) and
+    (21, 2)); there x2^3 is traded for x1^3 x3 until that exponent is >= 0.
+    For 11 <= a <= 18 (the q = 1 case) the family entries left in place carry
+    the output names p{r}1, p{r}2, ... and are followed by a core subset; for
+    a >= 19 the full core comes first.  strict_21 drops the core where the
+    first entry moved at a >= 19: the a == 21 variant that fails the
+    dimension check, kept so the verifier can record the adjudication.
     """
     require_closed_form(seed)
     a, d = seed.a, seed.d
     q, r = divmod(a, 10)
     family = list(residue_family(q, d, r).items())
     _, (lhs, rhs) = family[0]
-    moved = a <= 14 or lhs[0] < 0
+    moved = a <= 14 or _has_strict_variant(a, d)
     if moved:
         family = family[1:]
     if a <= 18:
@@ -470,13 +430,12 @@ def gastinger_verify(seed: ArithmeticSeed) -> GastingerReport:
 
     The catalog passes iff the quotient dimension equals a; minimality holds
     iff every single-generator removal breaks that count (larger or
-    infinite).  At a == 21 both the strict and core-augmented variants are
-    computed and the adjudication recorded.
+    infinite).  Where the catalog has a strict variant, (21, 1) and (21, 2),
+    it and the core-augmented one are computed and the adjudication recorded.
     """
     a = seed.a
-    variant = None
-    adjudication = None
-    if (a, seed.d) in ((21, 1), (21, 2)):
+    variant = adjudication = None
+    if _has_strict_variant(a, seed.d):
         catalogs = {"strict": generator_catalog(seed, strict_21=True), "withCore": generator_catalog(seed)}
         dims = {name: quotient_dimension(cat) for name, cat in catalogs.items()}
         variant = "strict" if dims["strict"] == a and dims["withCore"] != a else "withCore"

@@ -105,6 +105,20 @@ def test_homogeneity_rejects_wrong_residue():
     assert not homogeneity_check([BinomialGenerator("h01", lhs, rhs)], seed)
 
 
+@pytest.mark.parametrize("r", [10, -1])
+def test_residue_family_refuses_a_bad_residue(r):
+    with pytest.raises(DomainError) as err:
+        residue_family(2, 1, r)
+    assert err.value.code == "invalidSeed"
+
+
+def test_strict_21_changes_only_the_a21_variants():
+    differs = [(a, d) for a in range(11, 201) for d in range(1, 21) if gcd(a, d) == 1
+               and generator_catalog(ArithmeticSeed(a, d), strict_21=True)
+               != generator_catalog(ArithmeticSeed(a, d))]
+    assert differs == [(21, 1), (21, 2)]
+
+
 def test_h11_degenerates_at_excluded_seeds():
     lhs, _ = residue_family(2, 1, 1)["h11"]  # a = 21, d = 1
     assert min(lhs) < 0  # 5q + d - 13 = -2: why (21, 1) is dispatched specially
