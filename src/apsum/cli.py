@@ -6,14 +6,16 @@ payload.  Exit codes: 0 success, 2 usage error or unwritable path, 3 domain
 error (bad seed, non-member, tooLarge input, ...), 4 verification failure
 (dimension check or cross-check).
 
-``main`` builds the seed once (None for sweeps) and passes it to the
-subcommand's handler.  A handler computes its result once and returns
-(payload, exit code, text), where text maps "csv" or "table" to a
-zero-argument renderer for a format the payload cannot render generically.
-Only the requested format is rendered: json is the envelope; csv is a header
-plus one row per record of a list payload, or one row for a dict payload,
-with list and dict cells written as JSON; table is one "key: value" line per
-field.
+Each leaf parser carries its handler and the envelope's command name
+("info", "ideal list", "sweep unique", ...), and --m its real default.
+``main`` builds the seed once (None for sweeps), passes it to the handler and
+emits the envelope under the leaf's name.  A handler computes its result
+once and returns (payload, exit code, text), where text maps "csv" or
+"table" to a zero-argument renderer for a format the payload cannot render
+generically.  Only the requested format is rendered: json is the envelope;
+csv is a header plus one row per record of a list payload, or one row for a
+dict payload, with list and dict cells written as JSON; table is one
+"key: value" line per field.
 """
 
 from __future__ import annotations
@@ -149,17 +151,7 @@ def _cmd_apery(seed, args):
         payload = {"byResidue": values, "set": sorted(values)}
         return payload, EXIT_OK, {"table": lambda: _joined(payload["set"])}
     records = apery_records(seed)
-    payload = [
-        {
-            "n": r.n,
-            "multiplier": r.multiplier,
-            "value": r.value,
-            "gap": r.gap,
-            "order": r.order,
-            "expansion": list(r.expansion),
-        }
-        for r in records
-    ]
+    payload = [{**vars(r), "expansion": list(r.expansion)} for r in records]
     return payload, EXIT_OK, {"table": lambda: _joined(sorted([0] + [r.value for r in records]))}
 
 
@@ -275,82 +267,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_seed_flags(p, with_m=True):
-        p.add_argument("--a", type=int, required=True, help="first term of the progression")
-        p.add_argument("--d", type=int, required=True, help="common difference")
-        if with_m:
-            p.add_argument("--m", type=int, default=None, help="number of generators (default 5)")
+    def leaf(group, name, handler, summary, m=None):
+        """Add leaf `name` (its envelope name) to `group` with its shared flags; --m only if m is given."""
+        sweep = name.startswith("sweep ")
+        p = group.add_parser(name.split()[-1], help=summary)
+        p.set_defaults(handler=handler, name=name)
+        if not sweep:
+            p.add_argument("--a", type=int, required=True, help="first term of the progression")
+            p.add_argument("--d", type=int, required=True, help="common difference")
+        if m is not None:
+            p.add_argument("--m", type=int, default=m, help=f"number of generators (default {m})")
+        if sweep:
+            p.add_argument("--a-range", required=True, help="inclusive range LO:HI")
+            p.add_argument("--d-range", required=True, help="inclusive range LO:HI")
+            p.add_argument("--jobs", type=int, default=None,
+                           help="worker processes, at most the cpu count (default: APSUM_JOBS or cpu count)")
+            p.add_argument("--checkpoint", default=None, help="append-only JSONL checkpoint path")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        p.add_argument("--out", default=None,
+                       help=None if sweep else "write output to a file instead of stdout")
+        return p
 
-    p = sub.add_parser("info", help="generators and basic invariants")
-    add_seed_flags(p)
-    p.set_defaults(handler=_cmd_info)
+    leaf(sub, "info", _cmd_info, "generators and basic invariants", m=5)
+    leaf(sub, "apery", _cmd_apery, "Apery set (closed form, or --oracle)", m=5).add_argument(
+        "--oracle", action="store_true", help="use the brute-force oracle instead of the closed form")
+    leaf(sub, "frobenius", _cmd_frobenius, "Frobenius number", m=5).add_argument(
+        "--oracle", action="store_true")
+    leaf(sub, "pf", _cmd_pf, "pseudo-Frobenius numbers and type", m=5).add_argument(
+        "--oracle", action="store_true")
+    leaf(sub, "order", _cmd_order, "order of an element (max generator count)", m=5).add_argument(
+        "--value", type=int, required=True, help="semigroup element")
 
-    p = sub.add_parser("apery", help="Apery set (closed form, or --oracle)")
-    add_seed_flags(p)
-    p.add_argument("--oracle", action="store_true", help="use the brute-force oracle instead of the closed form")
-    p.set_defaults(handler=_cmd_apery)
+    ideal_sub = sub.add_parser("ideal", help="defining-ideal catalog and verification").add_subparsers(
+        dest="ideal_command", required=True)
+    leaf(ideal_sub, "ideal list", _cmd_ideal_list, "catalog of binomial generators").add_argument(
+        "--strict-21", action="store_true", dest="strict_21",
+        help="at a=21, drop the seed-independent generators")
+    leaf(ideal_sub, "ideal verify", _cmd_ideal_verify, "dimension check plus drop-one minimality")
 
-    p = sub.add_parser("frobenius", help="Frobenius number")
-    add_seed_flags(p)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(handler=_cmd_frobenius)
+    leaf(sub, "table", _cmd_table, "Apery table rows")
+    leaf(sub, "cone", _cmd_cone, "tangent-cone decomposition summary")
+    leaf(sub, "hilbert", _cmd_hilbert, "Hilbert series numerator")
 
-    p = sub.add_parser("pf", help="pseudo-Frobenius numbers and type")
-    add_seed_flags(p)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(handler=_cmd_pf)
-
-    p = sub.add_parser("order", help="order of an element (max generator count)")
-    add_seed_flags(p)
-    p.add_argument("--value", type=int, required=True, help="semigroup element")
-    p.set_defaults(handler=_cmd_order)
-
-    p_ideal = sub.add_parser("ideal", help="defining-ideal catalog and verification")
-    ideal_sub = p_ideal.add_subparsers(dest="ideal_command", required=True)
-    p = ideal_sub.add_parser("list", help="catalog of binomial generators")
-    add_seed_flags(p, with_m=False)
-    p.add_argument("--strict-21", action="store_true", dest="strict_21",
-                   help="at a=21, drop the seed-independent generators")
-    p.set_defaults(handler=_cmd_ideal_list)
-    p = ideal_sub.add_parser("verify", help="dimension check plus drop-one minimality")
-    add_seed_flags(p, with_m=False)
-    p.set_defaults(handler=_cmd_ideal_verify)
-
-    p = sub.add_parser("table", help="Apery table rows")
-    add_seed_flags(p, with_m=False)
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("cone", help="tangent-cone decomposition summary")
-    add_seed_flags(p, with_m=False)
-    p.set_defaults(handler=_cmd_cone)
-
-    p = sub.add_parser("hilbert", help="Hilbert series numerator")
-    add_seed_flags(p, with_m=False)
-    p.set_defaults(handler=_cmd_hilbert)
-
-    p_sweep = sub.add_parser("sweep", help="conjecture sweeps over (a, d) grids")
-    sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
-
-    def add_sweep_flags(p):
-        p.add_argument("--a-range", required=True, help="inclusive range LO:HI")
-        p.add_argument("--d-range", required=True, help="inclusive range LO:HI")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes, at most the cpu count (default: APSUM_JOBS or cpu count)")
-        p.add_argument("--checkpoint", default=None, help="append-only JSONL checkpoint path")
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--out", default=None)
-
-    p = sweep_sub.add_parser("unique", help="uniqueness of Apery expansions")
-    p.add_argument("--m", type=int, default=6, help="number of generators (default 6)")
-    add_sweep_flags(p)
-    p.set_defaults(handler=_cmd_sweep_unique)
-
-    p = sweep_sub.add_parser("gamma6", help="six-generator Apery formula vs oracle")
-    add_sweep_flags(p)
-    p.set_defaults(handler=_cmd_sweep_gamma6)
-
+    sweep_sub = sub.add_parser("sweep", help="conjecture sweeps over (a, d) grids").add_subparsers(
+        dest="sweep_command", required=True)
+    leaf(sweep_sub, "sweep unique", _cmd_sweep_unique, "uniqueness of Apery expansions", m=6)
+    leaf(sweep_sub, "sweep gamma6", _cmd_sweep_gamma6, "six-generator Apery formula vs oracle")
     return parser
 
 
@@ -360,13 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     seed = None
     try:
         if hasattr(args, "a"):
-            m = getattr(args, "m", None)
-            seed = ArithmeticSeed(args.a, args.d, 5 if m is None else m)
+            seed = ArithmeticSeed(args.a, args.d, getattr(args, "m", 5))
         payload, code, text = args.handler(seed, args)
-        command = args.command + (
-            f" {args.ideal_command}" if getattr(args, "ideal_command", None) else ""
-        ) + (f" {args.sweep_command}" if getattr(args, "sweep_command", None) else "")
-        _emit(_render(_envelope(command, seed, payload), args.format, text), args.out)
+        _emit(_render(_envelope(args.name, seed, payload), args.format, text), args.out)
     except (DomainError, VerificationError) as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         if isinstance(exc, UsageError):

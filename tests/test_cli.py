@@ -215,6 +215,54 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+LEAVES = ["info", "apery", "frobenius", "pf", "order", "ideal list", "ideal verify",
+          "table", "cone", "hilbert", "sweep unique", "sweep gamma6"]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_envelope_names_every_leaf_and_its_seed(capsys, leaf):
+    sweep = leaf.startswith("sweep ")
+    args = ["--a-range", "16:17", "--d-range", "1:2", "--jobs", "1"] if sweep else ["--a", "11", "--d", "2"]
+    if leaf == "order":
+        args += ["--value", "24"]
+    code, out, _ = run(capsys, *leaf.split(), *args)
+    assert code == 0
+    envelope = json.loads(out)
+    assert envelope["command"] == leaf
+    assert envelope["seed"] == (None if sweep else {"a": 11, "d": 2, "m": 5})
+
+
+def test_sweep_unique_defaults_to_m_6(capsys, tmp_path):
+    path = tmp_path / "u.jsonl"
+    code, out, _ = run(capsys, "sweep", "unique", "--a-range", "16:17", "--d-range", "1:2",
+                       "--jobs", "1", "--checkpoint", str(path))
+    assert code == 0
+    assert json.loads(out)["payload"]["grid"]["m"] == 6
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 1 + 4
+    assert {r["m"] for r in records} == {6}
+
+
+@pytest.mark.parametrize("argv, missing", [
+    ([], "command"), (["ideal"], "ideal_command"), (["sweep"], "sweep_command"),
+])
+def test_missing_subcommand_is_usage_error(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: apsum")
+    assert f"error: the following arguments are required: {missing}\n" in err
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_help_exits_zero_on_every_leaf(capsys, leaf):
+    with pytest.raises(SystemExit) as exc:
+        main([*leaf.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: apsum {leaf} ")
+
+
 @pytest.mark.parametrize("a_range,d_range", [("20:16", "1:2"), ("16:20", "8:1"), ("x:20", "1:2")])
 def test_sweep_bad_range_is_usage_error(capsys, a_range, d_range):
     code, out, err = run(capsys, "sweep", "gamma6", "--a-range", a_range, "--d-range", d_range,
