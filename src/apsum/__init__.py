@@ -30,6 +30,7 @@ from .family import (
     apery_set_conjectured6,
     apery_values,
     canonical_expansion,
+    element_order,
     minimality_check,
     partial_sum_generators,
     triangular_digits,

@@ -136,6 +136,24 @@ def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     return [_record(seed.a, seed.d, n) for n in range(1, seed.a)]
 
 
+def element_order(seed: ArithmeticSeed, v: int) -> int:
+    """Order of v (the most generators summing to it), from one Apery record.
+
+    The expansions are unique and the tangent cone is free, so by Garcia's
+    criterion (Comm. Algebra 10, 1982) ord(v) = ord(w) + (v - w)/a, where w
+    is the Apery element of v's class n = v * d^-1 mod a (class 0 has w = 0).
+    O(1) in v.  Raises like ``order_oracle`` for v < 0 and for v < w (not a
+    member); fails loudly outside ``require_closed_form``.
+    """
+    require_closed_form(seed)
+    if v < 0:
+        raise DomainError("invalidElement", "semigroup elements are nonnegative")
+    rec = _record(seed.a, seed.d, v * pow(seed.d, -1, seed.a) % seed.a)  # class 0: w = 0, order 0
+    if v < rec.value:
+        raise DomainError("notMember", f"{v} is not in the semigroup")
+    return rec.order + (v - rec.value) // seed.a
+
+
 def apery_set_closed(seed: ArithmeticSeed) -> set[int]:
     """The closed-form Apery set as a plain set of values, 0 included."""
     return {0} | {rec.value for rec in apery_records(seed)}

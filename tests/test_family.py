@@ -20,6 +20,7 @@ from apsum import (
     apery_set_conjectured6,
     apery_values,
     canonical_expansion,
+    element_order,
     is_minimal_generating,
     membership,
     minimality_check,
@@ -29,7 +30,7 @@ from apsum import (
     uniqueness_check,
 )
 from apsum.family import UniquenessReport, UniquenessViolation
-from apsum.oracle import representation_counts, representations, validate_generators
+from apsum.oracle import orders_up_to, representation_counts, representations, validate_generators
 
 
 def test_partial_sum_examples():
@@ -147,6 +148,9 @@ def test_apery_values_outside_closed_form(seed, code):
     with pytest.raises(DomainError) as err:
         apery_values(seed, 3)
     assert err.value.code == code
+    with pytest.raises(DomainError) as err:
+        element_order(seed, 24)
+    assert err.value.code == code
 
 
 def test_apery_set_golden_example():
@@ -176,6 +180,35 @@ def test_expansion_value_and_order_identities():
             value = sum(c * g for c, g in zip(rec.expansion, gens[1:]))
             assert value == rec.value
             assert order_oracle(rec.value, gens) == rec.order
+
+
+def _order_or_code(seed, v):
+    try:
+        return element_order(seed, v)
+    except DomainError as err:
+        return err.code
+
+
+@pytest.mark.parametrize("a", range(11, 30))
+def test_element_order_matches_the_order_sieve(a):
+    # every v up to max Ap + 3a, members and gaps, against the oracle's order sieve
+    for d in (*range(1, 8), a - 1, 40 * a - 1):
+        if gcd(a, d) != 1:
+            continue
+        seed = ArithmeticSeed(a, d)
+        orders = orders_up_to(partial_sum_generators(seed), max(apery_set_closed(seed)) + 3 * a)
+        expected = [o if o >= 0 else "notMember" for o in orders]
+        assert [_order_or_code(seed, v) for v in range(len(orders))] == expected, (a, d)
+
+
+@pytest.mark.parametrize("v", [-1, -10**20, 1, 82, 93])
+def test_element_order_refuses_like_the_oracle(v):
+    seed = ArithmeticSeed(11, 2)
+    with pytest.raises(DomainError) as closed:
+        element_order(seed, v)
+    with pytest.raises(DomainError) as oracle:
+        order_oracle(v, partial_sum_generators(seed))
+    assert (closed.value.code, str(closed.value)) == (oracle.value.code, str(oracle.value))
 
 
 def test_closed_apery_matches_oracle_on_grid():
