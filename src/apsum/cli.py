@@ -8,8 +8,6 @@ error (bad seed, non-member, tooLarge input, ...), 4 verification failure
 
 Each leaf parser carries its handler and the envelope's command name
 ("info", "ideal list", "sweep unique", ...), and --m its real default.
-The parser tree is built once per process (``build_parser`` is cached) and
-every ``main`` call reuses it; parsing a command line does not change it.
 ``main`` builds the seed once (None for sweeps), passes it to the handler and
 emits the envelope under the leaf's name.  A handler computes its result
 once and returns (payload, exit code, text), where text maps "csv" or
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -37,6 +34,7 @@ from .family import (
     ArithmeticSeed,
     apery_records,
     element_order,
+    has_closed_form,
     minimality_check,
     partial_sum_generators,
 )
@@ -143,7 +141,7 @@ def _cmd_info(seed, args):
         "embeddingDimension": seed.m,
         "minimal": minimality_check(seed),
     }
-    if seed.m == 5 and seed.a >= 11:
+    if has_closed_form(seed):
         pf = pseudo_frobenius_set(seed)
         payload.update({"frobenius": pf.frobenius, "pf": list(pf.pf), "type": pf.type_count})
     return payload, EXIT_OK, {}
@@ -179,10 +177,10 @@ def _cmd_pf(seed, args):
 
 
 def _cmd_order(seed, args):
-    if args.oracle or seed.m != 5 or seed.a < 11:
-        value = order_oracle(args.value, partial_sum_generators(seed))
-    else:
+    if has_closed_form(seed):
         value = element_order(seed, args.value)
+    else:
+        value = order_oracle(args.value, partial_sum_generators(seed))
     return {"element": args.value, "order": value}, EXIT_OK, {"table": lambda: f"{value}\n"}
 
 
@@ -265,9 +263,7 @@ def _cmd_sweep_gamma6(seed, args):
                                jobs=_jobs(args), checkpoint_path=args.checkpoint), "mismatches")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The whole parser tree, built once per process: every caller shares it, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="apsum",
         description="Exact invariants of numerical semigroups generated by partial sums "
@@ -304,10 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true")
     leaf(sub, "pf", _cmd_pf, "pseudo-Frobenius numbers and type", m=5).add_argument(
         "--oracle", action="store_true")
-    order = leaf(sub, "order", _cmd_order, "order of an element (max generator count)", m=5)
-    order.add_argument("--value", type=int, required=True, help="semigroup element")
-    order.add_argument("--oracle", action="store_true",
-                       help="use the brute-force oracle instead of the closed form")
+    leaf(sub, "order", _cmd_order, "order of an element (max generator count)", m=5).add_argument(
+        "--value", type=int, required=True, help="semigroup element")
 
     ideal_sub = sub.add_parser("ideal", help="defining-ideal catalog and verification").add_subparsers(
         dest="ideal_command", required=True)

@@ -96,12 +96,19 @@ class AperyRecord:
     expansion: tuple[int, int, int, int]
 
 
-def require_closed_form(seed: ArithmeticSeed) -> None:
-    """Refuse seeds the five-generator closed forms do not cover.
+def has_closed_form(seed: ArithmeticSeed) -> bool:
+    """Whether the five-generator closed forms cover the seed.
 
     They need m == 5 and a >= 11: below that the generators are not minimal
     and the formulas have no backing.
     """
+    return seed.m == 5 and seed.a >= 11
+
+
+def require_closed_form(seed: ArithmeticSeed) -> None:
+    """Refuse seeds outside ``has_closed_form``, naming the condition missed."""
+    if has_closed_form(seed):
+        return
     if seed.m != 5:
         raise DomainError("closedFormUnavailable", f"closed form needs m == 5, got m == {seed.m}")
     if seed.a < 11:

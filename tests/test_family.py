@@ -191,14 +191,21 @@ def _order_or_code(seed, v):
 
 @pytest.mark.parametrize("a", range(11, 30))
 def test_element_order_matches_the_order_sieve(a):
-    # every v up to max Ap + 3a, members and gaps, against the oracle's order sieve
+    # against the oracle's order sieve: for d <= 7 and d = a - 1 every v up to max Ap + 3a,
+    # members and gaps; for d = 40a - 1, whose sieve runs to ~30a^2, in each class the Apery
+    # element w, the three members above it and the three gaps below it
     for d in (*range(1, 8), a - 1, 40 * a - 1):
         if gcd(a, d) != 1:
             continue
         seed = ArithmeticSeed(a, d)
-        orders = orders_up_to(partial_sum_generators(seed), max(apery_set_closed(seed)) + 3 * a)
-        expected = [o if o >= 0 else "notMember" for o in orders]
-        assert [_order_or_code(seed, v) for v in range(len(orders))] == expected, (a, d)
+        apery = apery_set_closed(seed)
+        orders = orders_up_to(partial_sum_generators(seed), max(apery) + 3 * a)
+        if d == 40 * a - 1:
+            values = [w + k * a for w in apery for k in range(-3, 4) if w + k * a >= 0]
+        else:
+            values = range(len(orders))
+        expected = [orders[v] if orders[v] >= 0 else "notMember" for v in values]
+        assert [_order_or_code(seed, v) for v in values] == expected, (a, d)
 
 
 @pytest.mark.parametrize("v", [-1, -10**20, 1, 82, 93])
