@@ -24,13 +24,13 @@ from .family import (
     AperyRecord,
     ArithmeticSeed,
     UniquenessReport,
-    apery_multiplier6,
     apery_records,
     apery_set_closed,
     apery_set_conjectured6,
     apery_values,
     canonical_expansion,
     element_order,
+    least_degrees,
     minimality_check,
     partial_sum_generators,
     triangular_digits,

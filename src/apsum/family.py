@@ -10,9 +10,10 @@ triangular numbers C(k, 2) (``triangular_digits``).  With five generators the
 Apery set with respect to a admits a closed form: over the digits 10, 6, 3, 1
 (plus one rewrite), the least member of class n is the digit-weighted
 multiple of a plus n*d, and the digits are its canonical expansion over the
-non-multiplicity generators.  The six-generator analogue uses the digits
-15, 10, 6, 3, 1 with rebates and is conjectural; it is exposed here for the
-sweep harness, never asserted.
+non-multiplicity generators.  The six-generator analogue takes for class n
+the least degree of an expansion of n over 1, 3, 6, 10, 15
+(``least_degrees``) and is conjectural; it is exposed here for the sweep
+harness, never asserted.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import gcd
 from operator import mul
 
 from .errors import DomainError
-from .oracle import apery_oracle, is_minimal_generating, validate_generators
+from .oracle import apery_oracle, validate_generators
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,32 @@ class AperyRecord:
     expansion: tuple[int, int, int, int]
 
 
+def minimality_check(seed: ArithmeticSeed) -> bool:
+    """Whether the partial sums minimally generate their semigroup: a > C(m, 2).
+
+    Write s_k = k*a + C(k, 2)*d.  As gcd(a, d) = 1, s_k lies in
+    <s_1, ..., s_(k-1)> iff some c >= 0 has sum c_i*i = k + j*d and
+    sum c_i*C(i, 2) = C(k, 2) - j*a for an integer j.  j <= 0 is impossible:
+    C(i, 2) <= (k - 2)*i/2 for i < k, so the second sum would be at most
+    (k - 2)*k/2 < C(k, 2).  j >= 1 needs a <= C(k, 2), so a > C(m, 2) makes
+    every generator minimal.  Conversely, take the least k with C(k, 2) >= a
+    and j = 1.  Then N = C(k, 2) - a <= k - 2, and N has an expansion over
+    the C(i, 2), i < k, of degree sum c_i*i <= N + 2 <= k (by induction:
+    N <= 2 is N ones at degree 2N; for N >= 3 take the largest C(i, 2) <= N,
+    whose i >= 3 satisfies i <= C(i, 2)).
+    Padding it with copies of s_1 up to degree k + d writes s_k in the others.
+    At m == 5 this is a >= 11; ``is_minimal_generating`` is the oracle.
+    """
+    return seed.a > seed.m * (seed.m - 1) // 2
+
+
 def has_closed_form(seed: ArithmeticSeed) -> bool:
     """Whether the five-generator closed forms cover the seed.
 
-    They need m == 5 and a >= 11: below that the generators are not minimal
-    and the formulas have no backing.
+    They need m == 5 and minimal generators (a >= 11): below that the
+    formulas have no backing.
     """
-    return seed.m == 5 and seed.a >= 11
+    return seed.m == 5 and minimality_check(seed)
 
 
 def require_closed_form(seed: ArithmeticSeed) -> None:
@@ -166,18 +186,6 @@ def apery_set_closed(seed: ArithmeticSeed) -> set[int]:
     return {0} | {rec.value for rec in apery_records(seed)}
 
 
-def minimality_check(seed: ArithmeticSeed) -> bool:
-    """Whether the partial sums minimally generate their semigroup.
-
-    For m == 5 the closed criterion is a >= 11; other embedding dimensions
-    use the membership oracle (no generator lies in the semigroup of the
-    others).
-    """
-    if seed.m == 5:
-        return seed.a >= 11
-    return is_minimal_generating(partial_sum_generators(seed))
-
-
 @dataclass(frozen=True)
 class UniquenessViolation:
     value: int
@@ -228,20 +236,20 @@ def uniqueness_check(gens, c: int) -> UniquenessReport:
 # six-generator conjectural formula
 # ----------------------------------------------------------------------
 
-def apery_multiplier6(n: int) -> int:
-    """Conjectured multiplier for six generators.
+def least_degrees(m: int, top: int) -> list[int]:
+    """Entry n, 0 <= n <= top: the least degree sum k*c_k over c_2..c_m >= 0
+    with sum c_k*C(k, 2) = n.
 
-    The (2, 3, 4, 5, 6)-weighted degree of ``triangular_digits(n, 6)``, less
-    a rebate: with n = 15q + r it is 3 when q > 0 and r == 5, and 1 when
-    r == 12 or when q > 0 and r == 8.
+    Generator k is k*a + C(k, 2)*d, so entry n times a, plus n*d, is the
+    least value an expansion of class index n can reach.  A coin DP over the
+    coins C(k, 2) with weights k, O(m * top).
     """
-    base = _degree(triangular_digits(n, 6))
-    q, r = divmod(n, 15)
-    if q and r == 5:
-        return base - 3
-    if r == 12 or (q and r == 8):
-        return base - 1
-    return base
+    least = list(range(0, 2 * top + 1, 2))  # n ones: C(2, 2) = 1 at degree 2
+    for k in range(3, m + 1):
+        coin = k * (k - 1) // 2
+        for n in range(coin, top + 1):
+            least[n] = min(least[n], least[n - coin] + k)
+    return least
 
 
 def apery_set_conjectured6(seed: ArithmeticSeed) -> list[int]:
@@ -253,4 +261,4 @@ def apery_set_conjectured6(seed: ArithmeticSeed) -> list[int]:
     """
     if seed.m != 6:
         raise DomainError("closedFormUnavailable", f"conjectured set needs m == 6, got m == {seed.m}")
-    return [0] + [apery_multiplier6(n) * seed.a + n * seed.d for n in range(1, seed.a)]
+    return [degree * seed.a + n * seed.d for n, degree in enumerate(least_degrees(6, seed.a - 1))]

@@ -21,14 +21,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DomainError
-from .family import ArithmeticSeed, apery_set_conjectured6, partial_sum_generators, uniqueness_check
-from .oracle import apery_oracle, is_minimal_generating
+from .family import (ArithmeticSeed, apery_set_conjectured6, minimality_check, partial_sum_generators,
+                     uniqueness_check)
+from .oracle import apery_oracle
 
 MAX_WITNESS_ITEMS = 8  # keep checkpoint lines readable
 
@@ -56,12 +56,11 @@ def _uniqueness_verdict(seed: ArithmeticSeed) -> tuple[str, dict | None]:
 
 
 def _gamma6_verdict(seed: ArithmeticSeed) -> tuple[str, dict | None]:
-    gens = partial_sum_generators(seed)
-    if not is_minimal_generating(gens):
+    if not minimality_check(seed):
         return "skip", {"reason": "notMinimal"}
     a, d = seed.a, seed.d
     conjectured = apery_set_conjectured6(seed)
-    oracle = apery_oracle(gens, a)
+    oracle = apery_oracle(partial_sum_generators(seed), a)
     mismatches = [
         {"n": n, "conjectured": conjectured[n], "oracle": oracle[n * d % a]}
         for n in range(1, a)
@@ -193,6 +192,8 @@ def _run_sweep(kind, verdict_of, m, a_range, d_range, jobs, checkpoint_path) -> 
                 out.write(_record_line(header).encode("utf-8"))
         pending = [(verdict_of, m, a, d) for (a, d) in grid if (a, d, m) not in cursor.completed]
         if jobs > 1 and pending:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             fresh = pool.map(_task, pending, chunksize=8)
         else:

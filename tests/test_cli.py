@@ -358,13 +358,32 @@ def test_unwritable_checkpoint_is_io_error(capsys, tmp_path, where):
     (["order", "--a", "11", "--d", "2", "--value", "-5"], "invalidElement"),
     (["order", "--a", "7", "--d", "1", "--value", str(10**20)], "tooLarge"),  # a < 11: the oracle
     (["apery", "--oracle", "--a", str(10**20), "--d", "1"], "tooLarge"),
-    (["info", "--m", "6", "--a", str(10**20 + 1), "--d", "1"], "tooLarge"),
+    (["frobenius", "--oracle", "--a", str(10**20), "--d", "1"], "tooLarge"),
 ])
 def test_bad_input_is_a_coded_domain_error(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+def test_minimality_of_a_huge_seed_is_closed(capsys):
+    # a > C(m, 2) decides minimality for every m, so no oracle runs at a = 10^20 + 1
+    a = 10**20 + 1
+    code, out, err = run(capsys, "info", "--m", "6", "--a", str(a), "--d", "1")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert payload["minimal"] is True
+    assert payload["generators"] == [k * a + k * (k - 1) // 2 for k in range(1, 7)]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only sweeps with --jobs > 1 need a process pool; every other query skips its import cost
+    src = str(Path(apsum.cli.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import apsum.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_out_of_memory_is_too_large(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Closed forms for the five-generator family, and the conjectural dim-6 data."""
 
 from functools import cache, reduce
+from itertools import count
 from math import gcd
 from operator import mul
 
@@ -13,7 +14,6 @@ import apsum.oracle
 from apsum import (
     ArithmeticSeed,
     DomainError,
-    apery_multiplier6,
     apery_oracle,
     apery_records,
     apery_set_closed,
@@ -22,6 +22,7 @@ from apsum import (
     canonical_expansion,
     element_order,
     is_minimal_generating,
+    least_degrees,
     membership,
     minimality_check,
     order_oracle,
@@ -78,9 +79,8 @@ def test_radix_round_trip():
         lambda n: triangular_digits(n, 5),
         lambda n: triangular_digits(n, 6),
         canonical_expansion,
-        apery_multiplier6,
     ],
-    ids=["triangular5", "triangular6", "canonical_expansion", "apery_multiplier6"],
+    ids=["triangular5", "triangular6", "canonical_expansion"],
 )
 def test_negative_index_rejected(call):
     with pytest.raises(DomainError) as err:
@@ -113,9 +113,20 @@ def _reference_multiplier6(n):
 
 
 def test_triangular_forms_match_the_mixed_radix_references():
+    least6 = least_degrees(6, 19_999)
     for n in range(20_000):
         assert canonical_expansion(n) == _reference_expansion(n), n
-        assert apery_multiplier6(n) == _reference_multiplier6(n), n
+        assert least6[n] == _reference_multiplier6(n), n
+
+
+def test_least_degrees_five_is_the_canonical_degree():
+    # Both sides gain 5 when n grows by 10.  From n = 10 on, the canonical expansion gains one
+    # generator 5 and keeps its rewrite case.  The DP does from n = 9 on: each entry reads
+    # entries at most 10 back, so the step checked on n = 9..28 carries to every later n.
+    # Agreement on n < 20 therefore holds for every n; the range below covers both.
+    least5 = least_degrees(5, 19_999)
+    for n in range(20_000):
+        assert least5[n] == sum(map(mul, canonical_expansion(n), count(2))), n
 
 
 @pytest.mark.parametrize(
@@ -236,12 +247,13 @@ def test_minimality_examples():
 
 
 def test_minimality_closed_form_agrees_with_oracle():
-    for a in range(5, 26):
-        for d in (1, 2, 3, 7):
-            if gcd(a, d) != 1:
-                continue
-            seed = ArithmeticSeed(a, d)
-            assert minimality_check(seed) == is_minimal_generating(partial_sum_generators(seed)), (a, d)
+    # a on both sides of C(m, 2); d small, prime, and either side of 40a
+    seeds = [ArithmeticSeed(a, d, m)
+             for m in range(2, 11) for a in range(2, m * (m - 1) // 2 + 8)
+             for d in [*range(1, 30), 97, 40 * a - 1, 40 * a + 1] if gcd(a, d) == 1]
+    assert len(seeds) == 4_599
+    for seed in seeds:
+        assert minimality_check(seed) == is_minimal_generating(partial_sum_generators(seed)), seed
 
 
 def test_uniqueness_examples():
@@ -365,15 +377,16 @@ def test_radix6_round_trip():
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (12, 8), (20, 10)])
 def test_multiplier6_examples(n, expected):
-    assert apery_multiplier6(n) == expected
+    assert least_degrees(6, n)[n] == expected
 
 
 def test_multiplier6_values_are_representable():
     # conjectured class values must at least be members
     seed = ArithmeticSeed(17, 2, 6)
     gens = partial_sum_generators(seed)
+    least6 = least_degrees(6, 16)
     for n in (1, 12, 16):
-        value = apery_multiplier6(n) * seed.a + n * seed.d
+        value = least6[n] * seed.a + n * seed.d
         assert membership(value, gens)
 
 

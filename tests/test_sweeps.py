@@ -71,6 +71,14 @@ def test_gamma6_mismatch_is_recorded_with_its_witness(monkeypatch):
     assert report.counterexamples == [record]
 
 
+def test_gamma6_sweep_reproduces_the_committed_record():
+    # artifacts/big_gamma6.jsonl is plain JSONL (no checkpoint header); only the timing differs
+    committed = Path(__file__).resolve().parent.parent / "artifacts" / "big_gamma6.jsonl"
+    expected = [json.loads(line) for line in committed.read_text().splitlines()]
+    assert len(expected) == 135 * 12
+    assert strip_timing(sweep_gamma6((16, 150), (1, 12)).records) == strip_timing(expected)
+
+
 def test_record_key_order():
     # --format csv writes records with json.dumps unsorted, so the order is output
     with_witness = ["a", "d", "m", "verdict", "witness", "ms"]
