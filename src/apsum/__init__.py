@@ -14,7 +14,6 @@ from .cone import (
     cone_decomposition,
     cone_to_json,
     hilbert_numerator,
-    landings,
     order_histogram_closed,
     reduction_number,
     ring_properties,

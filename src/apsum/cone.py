@@ -1,4 +1,4 @@
-"""Apery table, ladder analysis, and the tangent-cone decomposition.
+"""Apery table, freeness check, and the tangent-cone decomposition.
 
 Row s of the Apery table lists the least element of M^s, M the maximal
 ideal, in each class; column n is the class of n * d mod a.  The rows come
@@ -6,25 +6,23 @@ from a DP in column order, M^s = gens + M^(s-1), where generator j shifts the
 column by C(j, 2) = 0, 1, 3, 6, 10, the closed form's digit steps, at O(m * a)
 per row whatever d is; a column stays flat through the order of its Apery
 class and then climbs by the multiplicity, so the class orders are read off.
-Columns read as ladders: a flat stretch of length >= 1 is a landing, and a
-landing starting below row 0 ("true landing") signals a torsion summand in
-the associated graded ring.  For this family every column is a single
-landing from row 0, the cone is a free module over the fiber cone, and the
-order histogram doubles as the Hilbert series numerator.
+The tangent cone is free over the fiber cone exactly when every column does
+that, guard row included; any other flat step is torsion.  A decomposition
+exists only for a free cone, as this family's is: its shifts are the class
+orders and the order histogram doubles as the Hilbert series numerator.
 
 ``cone_decomposition`` is the one result per seed: it builds the table once,
-checks the table's order histogram against the closed form and keeps it; the
-reduction number, Hilbert numerator, ring flags and JSON export are views of
-that decomposition.
+refuses a non-free one, checks the order histogram against the closed form
+and keeps the table; the reduction number, Hilbert numerator, ring flags and
+JSON export are views of that decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from operator import eq
 
-from .errors import DomainError, VerificationError
+from .errors import VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
 from .frobenius import semigroup_type
 from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark tracer's self-test
@@ -67,64 +65,17 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
     return AperyTable(tuple(rows), level, orders)
 
 
-@dataclass(frozen=True)
-class Landing:
-    start: int
-    end: int
+def _non_free_column(table: AperyTable) -> int | None:
+    """First column t >= 1 that is not free, or None when the cone is free.
 
-
-@dataclass(frozen=True)
-class ColumnLadder:
-    """Landing decomposition of one column."""
-
-    column: int
-    landings: tuple[Landing, ...]
-    p: int  # number of landings minus one
-    d: int  # end row of the last landing
-    torsion: tuple[tuple[int, int], ...]  # (shift b_j, length c_j) per true landing
-
-    @property
-    def free_shaped(self) -> bool:
-        return len(self.landings) == 1 and self.landings[0].start == 0
-
-
-def _column_landings(values: tuple[int, ...]) -> tuple[Landing, ...]:
-    """Maximal flat stretches of length >= 1 in a nondecreasing sequence."""
-    landings = []
-    start = 0
-    for flat, run in groupby(map(eq, values, values[1:])):
-        steps = len(list(run))
-        if flat:
-            landings.append(Landing(start, start + steps))
-        start += steps
-    return tuple(landings)
-
-
-@dataclass(frozen=True)
-class LadderAnalysis:
-    columns: tuple[ColumnLadder, ...]
-
-    @property
-    def free(self) -> bool:
-        return all(col.free_shaped for col in self.columns[1:])
-
-
-def landings(table: AperyTable) -> LadderAnalysis:
-    """Per-column landing analysis, guard row included in the ladder.
-
-    Column 0 climbs strictly and carries the degenerate convention p = 0,
-    d = 0.  A column that pauses right past the built window shows up as a
-    true landing ending at the guard row.
+    A column never decreases, guard row included, so its flat steps number
+    len(col) - len(set(col)).  The first `order` steps are flat by the
+    definition of the order, and the column is free when no other step is.
     """
-    cols = []
-    for t, ladder in enumerate(zip(*table.rows, table.guard_row)):
-        found = _column_landings(ladder)
-        if t == 0:
-            cols.append(ColumnLadder(0, found, 0, 0, ()))
-            continue
-        torsion = tuple((lo.end, hi.start - lo.end) for lo, hi in zip(found, found[1:]))
-        cols.append(ColumnLadder(t, found, len(found) - 1, found[-1].end, torsion))
-    return LadderAnalysis(tuple(cols))
+    for t, col in enumerate(zip(*table.rows, table.guard_row)):
+        if t and len(col) - len(set(col)) != table.orders[t]:
+            return t
+    return None
 
 
 def _histogram(orders) -> list[int]:
@@ -160,7 +111,7 @@ def order_histogram_closed(a: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ConeDecomposition:
-    """Free/torsion structure of the tangent cone over the fiber cone.
+    """The tangent cone as a free module over the fiber cone.
 
     The one result per seed: it keeps the Apery table it was read from, and
     every other cone invariant is a view of it.
@@ -169,9 +120,7 @@ class ConeDecomposition:
     seed: ArithmeticSeed
     table: AperyTable
     t_counts: tuple[int, ...]
-    free: bool
     shifts: tuple[int, ...]  # multiset of free-summand shifts, sorted
-    torsion: tuple[tuple[int, int], ...]  # (shift, length) pairs when present
     reduction_formula: int
     reduction_computed: int
 
@@ -179,11 +128,13 @@ class ConeDecomposition:
 def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
     """Build the table once and decompose the cone from it.
 
-    The direct t_k, counted from the class orders read off the table, is
-    cross-checked against the closed form.
+    A non-free table is refused.  The direct t_k, counted from the class
+    orders read off the table, is cross-checked against the closed form.
     """
     table = apery_table(seed)
-    ladder = landings(table)
+    column = _non_free_column(table)
+    if column is not None:
+        raise VerificationError("nonFreeCone", f"column {column} is not free at (a, d) = ({seed.a}, {seed.d})")
     direct = _histogram(table.orders)
     closed = order_histogram_closed(seed.a)
     if direct != closed:
@@ -191,20 +142,8 @@ def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
             "tCountMismatch",
             f"direct orders {direct} != closed form {closed} at (a, d) = ({seed.a}, {seed.d})",
         )
-    shifts = tuple(sorted(col.d for col in ladder.columns))
-    torsion = tuple(
-        (b, c) for col in ladder.columns[1:] for (b, c) in col.torsion
-    )
-    return ConeDecomposition(
-        seed,
-        table,
-        tuple(direct),
-        ladder.free,
-        shifts,
-        torsion,
-        reduction_formula=seed.a // 10 + 1,
-        reduction_computed=table.top,
-    )
+    return ConeDecomposition(seed, table, tuple(direct), tuple(sorted(table.orders)),
+                             reduction_formula=seed.a // 10 + 1, reduction_computed=table.top)
 
 
 def reduction_number(seed: ArithmeticSeed) -> tuple[int, int]:
@@ -214,11 +153,9 @@ def reduction_number(seed: ArithmeticSeed) -> tuple[int, int]:
     cone is free (each column flat through its order, then climbing).  The
     formula floor(a/10) + 1 undercounts whenever classes of order
     floor(a/10) + 2 exist; both values are reported and disagreement is data,
-    not an error.  Non-free cones are out of supported scope.
+    not an error.
     """
     dec = cone_decomposition(seed)
-    if not dec.free:
-        raise DomainError("unsupportedNonFreeCone", "reduction number needs a free cone")
     return dec.reduction_formula, dec.reduction_computed
 
 
@@ -233,16 +170,11 @@ def hilbert_numerator(seed: ArithmeticSeed) -> tuple[int, ...]:
 def ring_properties(dec: ConeDecomposition) -> dict:
     """Cohen-Macaulay / Gorenstein / Buchsbaum flags of a decomposed cone.
 
-    Cohen-Macaulay equals freeness; Gorenstein needs type 1 on top of that
-    (never the case here, the type is at least 4); Buchsbaum follows from
-    Cohen-Macaulay and is reported as "notDetermined" otherwise.
+    A decomposed cone is free, hence Cohen-Macaulay and so Buchsbaum; it is
+    Gorenstein exactly when the type is 1 (never the case here, the type is
+    at least 4).
     """
-    cm = dec.free
-    return {
-        "cohenMacaulay": cm,
-        "gorenstein": cm and semigroup_type(dec.seed) == 1,
-        "buchsbaum": True if cm else "notDetermined",
-    }
+    return {"cohenMacaulay": True, "gorenstein": semigroup_type(dec.seed) == 1, "buchsbaum": True}
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +186,9 @@ def cone_to_json(dec: ConeDecomposition) -> dict:
     return {
         "rows": [list(row) for row in dec.table.rows],
         "tCounts": list(dec.t_counts),
-        "free": dec.free,
+        "free": True,
         "shifts": list(dec.shifts),
-        "torsion": [list(t) for t in dec.torsion],
+        "torsion": [],
         "reductionNumber": {
             "formula": dec.reduction_formula,
             "computed": dec.reduction_computed,

@@ -19,13 +19,13 @@ from apsum import (
     apery_set_closed,
     apery_table,
     cone_decomposition,
+    cone_to_json,
     frobenius_number,
     frobenius_oracle,
     gastinger_verify,
     generator_catalog,
     hilbert_numerator,
     homogeneity_check,
-    landings,
     membership,
     order_histogram_closed,
     order_oracle,
@@ -38,6 +38,7 @@ from apsum import (
     sweep_uniqueness,
     uniqueness_check,
 )
+from apsum.cone import _non_free_column
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -217,7 +218,9 @@ def test_cone_to_a1000():
         dec = cone_decomposition(seed)
         assert dec.table.orders[1:] == tuple(rec.order for rec in apery_records(seed)), (a, d)
         assert list(dec.t_counts) == order_histogram_closed(a), (a, d)
-        assert dec.free, (a, d)
+        assert _non_free_column(dec.table) is None, (a, d)
+        data = cone_to_json(dec)
+        assert data["free"] is True and data["torsion"] == [], (a, d)
     _report("5+6", f"table orders = closed orders, t-counts = closed form, free cone on "
             f"{len(seeds)} log-spaced seeds (60<a<=1000, d<=40a)", time.perf_counter() - start)
 
@@ -226,17 +229,16 @@ def test_criterion_6_cone_freeness(cones):
     start = time.perf_counter()
     for (a, d), (table, dec) in cones.items():
         seed = ArithmeticSeed(a, d)
-        analysis = landings(table)
-        assert analysis.free, (a, d)
-        assert all(not col.torsion for col in analysis.columns), (a, d)
-        assert dec.free
+        assert _non_free_column(table) is None, (a, d)
+        data = cone_to_json(dec)
+        assert data["free"] is True and data["torsion"] == [], (a, d)
         props = ring_properties(dec)
         assert props["cohenMacaulay"] is True
         assert props["gorenstein"] is False
         assert props["buchsbaum"] is True
         assert pseudo_frobenius_set(seed).type_count >= 4
         assert hilbert_numerator(seed) == dec.t_counts
-    _report("6", f"no true landings, CM, never Gorenstein, Hilbert = t-vector on {len(cones)} seeds",
+    _report("6", f"every column free, CM, never Gorenstein, Hilbert = t-vector on {len(cones)} seeds",
             time.perf_counter() - start)
 
 

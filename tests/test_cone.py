@@ -1,4 +1,4 @@
-"""Apery table, landings, cone decomposition, Hilbert data, ring flags."""
+"""Apery table, freeness check, cone decomposition, Hilbert data, ring flags."""
 
 import json
 from itertools import accumulate
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import apsum.cli
 import apsum.cone
 from apsum import (
+    AperyTable,
     ArithmeticSeed,
     VerificationError,
     apery_records,
@@ -18,12 +19,12 @@ from apsum import (
     cone_decomposition,
     cone_to_json,
     hilbert_numerator,
-    landings,
     order_histogram_closed,
     partial_sum_generators,
     reduction_number,
     ring_properties,
 )
+from apsum.cone import _non_free_column
 from apsum.oracle import orders_up_to
 
 SEED_11_2 = ArithmeticSeed(11, 2)
@@ -98,39 +99,41 @@ def test_table_matches_orders_reference_at_random_large_d(seed_pair):
     assert_matches_orders_table(ArithmeticSeed(a, d))
 
 
-def test_landings_11_2():
-    analysis = landings(apery_table(SEED_11_2))
-    cols = {c.column: c for c in analysis.columns}
-    assert cols[8].landings[0].start == 0 and cols[8].landings[0].end == 3  # value 104
-    assert cols[8].d == 3
-    assert cols[2].d == 2  # value 48 flat through row 2
-    assert cols[0].p == 0 and cols[0].d == 0  # multiplicity column convention
-    assert analysis.free
-    assert all(not c.torsion for c in analysis.columns)
+def test_orders_11_2():
+    table = apery_table(SEED_11_2)
+    assert table.orders[8] == 3  # value 104 flat through row 3
+    assert table.orders[2] == 2  # value 48 flat through row 2
+    assert table.orders[0] == 0  # the multiplicity column climbs from row 0
+    assert _non_free_column(table) is None
 
 
-def stretch_landings(values):
-    """Reference: scan each maximal run of equal values from its first index."""
-    found = []
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[j + 1] == values[i]:
-            j += 1
-        if j > i:
-            found.append((i, j))
-        i = j + 1
-    return found
+STEP = 11  # the multiplicity of the drawn tables
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
-def test_column_landings_match_stretch_scan(steps):
-    # ladders with several landings (torsion-shaped columns) never come out
-    # of this family's tables, so they are drawn directly
-    values = tuple(accumulate(steps))
-    found = [(x.start, x.end) for x in apsum.cone._column_landings(values)]
-    assert found == stretch_landings(values)
+@st.composite
+def ladder_tables(draw):
+    """(table, ladders): column t >= 1 of the table steps by ladders[t - 1],
+    0 or STEP from row to row, guard row included.  Each ladder climbs at
+    least once, so the guard row leaves every row-0 value behind, as in a
+    built table."""
+    height = draw(st.integers(1, 8))
+    steps = st.lists(st.sampled_from((0, STEP)), min_size=height, max_size=height)
+    ladders = draw(st.lists(steps.filter(lambda s: STEP in s), min_size=1, max_size=4))
+    columns = [tuple(accumulate([t] + s)) for t, s in enumerate([[STEP] * height] + ladders)]
+    *rows, guard = zip(*columns)
+    orders = tuple(col.count(col[0]) - 1 for col in zip(*rows))
+    return AperyTable(tuple(rows), guard, orders), ladders
+
+
+@settings(max_examples=200, deadline=None)
+@given(ladder_tables())
+def test_non_free_column_accepts_exactly_prefix_flats(drawn):
+    # ladders that pause after a climb (torsion-shaped columns) never come
+    # out of this family's tables, so they are drawn directly
+    table, ladders = drawn
+    prefix_flats = [s == sorted(s) for s in ladders]
+    expected = None if all(prefix_flats) else prefix_flats.index(False) + 1
+    assert _non_free_column(table) == expected
 
 
 def test_order_histograms():
@@ -143,15 +146,18 @@ def test_order_histograms():
 def test_cone_decomposition_11_2():
     dec = cone_decomposition(SEED_11_2)
     assert dec.t_counts == (1, 4, 4, 2)
-    assert dec.free
-    assert dec.torsion == ()
+    assert _non_free_column(dec.table) is None
+    data = cone_to_json(dec)
+    assert data["free"] is True
+    assert data["torsion"] == []
     assert dec.shifts == (0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3)
 
 
 def test_cone_decomposition_23_1():
     dec = cone_decomposition(ArithmeticSeed(23, 1))
     assert dec.t_counts == (1, 4, 9, 9)
-    assert dec.free
+    assert _non_free_column(dec.table) is None
+    assert cone_to_json(dec)["free"] is True
 
 
 def test_shifts_match_histogram():
@@ -222,3 +228,25 @@ def test_histogram_cross_check_can_fail(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "tCountMismatch"
+
+
+def doctored_11_2(seed):
+    """The (11, 2) table with column 10 pausing again at row 3 (86 -> 86),
+    a flat step past its order 1."""
+    table = apery_table(seed)
+    rows = [list(row) for row in table.rows]
+    rows[3][10] = rows[2][10]
+    return AperyTable(tuple(map(tuple, rows)), table.guard_row, table.orders)
+
+
+def test_non_free_table_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(apsum.cone, "apery_table", doctored_11_2)
+    assert _non_free_column(apsum.cone.apery_table(SEED_11_2)) == 10
+    with pytest.raises(VerificationError) as err:
+        cone_decomposition(SEED_11_2)
+    assert err.value.code == "nonFreeCone"
+    for command in ("cone", "hilbert"):
+        assert apsum.cli.main([command, "--a", "11", "--d", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "nonFreeCone"
