@@ -13,9 +13,7 @@ from .cone import (
     apery_table,
     cone_decomposition,
     cone_to_json,
-    hilbert_numerator,
     order_histogram_closed,
-    reduction_number,
     ring_properties,
 )
 from .errors import DomainError, VerificationError
@@ -26,7 +24,6 @@ from .family import (
     apery_records,
     apery_set_closed,
     apery_set_conjectured6,
-    apery_values,
     canonical_expansion,
     element_order,
     least_degrees,
@@ -35,12 +32,7 @@ from .family import (
     triangular_digits,
     uniqueness_check,
 )
-from .frobenius import (
-    PFResult,
-    frobenius_number,
-    pseudo_frobenius_set,
-    semigroup_type,
-)
+from .frobenius import PFResult, pseudo_frobenius_set
 from .ideal import (
     INFINITE,
     BinomialGenerator,

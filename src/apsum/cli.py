@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import __version__
-from .cone import apery_table, cone_decomposition, cone_to_json, hilbert_numerator, ring_properties
+from .cone import apery_table, cone_decomposition, cone_to_json, ring_properties
 from .errors import DomainError, VerificationError
 from .family import (
     ArithmeticSeed,
@@ -38,7 +38,7 @@ from .family import (
     minimality_check,
     partial_sum_generators,
 )
-from .frobenius import frobenius_number, pseudo_frobenius_set
+from .frobenius import pseudo_frobenius_set
 from .ideal import INFINITE, catalog_to_json, gastinger_verify, generator_catalog
 from .oracle import (
     apery_oracle,
@@ -161,7 +161,7 @@ def _cmd_frobenius(seed, args):
     if args.oracle:
         value = frobenius_oracle(partial_sum_generators(seed))
     else:
-        value = frobenius_number(seed)
+        value = pseudo_frobenius_set(seed).frobenius
     return {"frobenius": value}, EXIT_OK, {"table": lambda: f"{value}\n"}
 
 
@@ -225,25 +225,16 @@ def _cmd_cone(seed, args):
 
 
 def _cmd_hilbert(seed, args):
-    numerator = hilbert_numerator(seed)
+    numerator = cone_decomposition(seed).t_counts
     payload = {"numerator": list(numerator), "denominator": "1-x"}
     return payload, EXIT_OK, {
         "table": lambda: " + ".join(f"{c}x^{k}" for k, c in enumerate(numerator)) + " over (1-x)\n"}
 
 
 def _jobs(args) -> int:
-    """Worker count from --jobs, else APSUM_JOBS, else the cpu count; at most the cpu count."""
+    """Worker count from --jobs, else the cpu count; at most the cpu count."""
     cpus = os.cpu_count() or 1
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("APSUM_JOBS")
-        if not env:
-            return cpus
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise UsageError("invalidJobs", f"APSUM_JOBS={env!r} is not an integer") from None
-    return min(max(1, jobs), cpus)
+    return cpus if args.jobs is None else min(max(1, args.jobs), cpus)
 
 
 def _sweep(report, verdicts: str):
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--a-range", required=True, help="inclusive range LO:HI")
             p.add_argument("--d-range", required=True, help="inclusive range LO:HI")
             p.add_argument("--jobs", type=int, default=None,
-                           help="worker processes, at most the cpu count (default: APSUM_JOBS or cpu count)")
+                           help="worker processes, at most the cpu count (default: cpu count)")
             p.add_argument("--checkpoint", default=None, help="append-only JSONL checkpoint path")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", default=None,

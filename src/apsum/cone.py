@@ -13,8 +13,9 @@ orders and the order histogram doubles as the Hilbert series numerator.
 
 ``cone_decomposition`` is the one result per seed: it builds the table once,
 refuses a non-free one, checks the order histogram against the closed form
-and keeps the table; the reduction number, Hilbert numerator, ring flags and
-JSON export are views of that decomposition.
+and keeps the table.  The Hilbert numerator (``t_counts``) and the reduction
+number (``reduction_formula``, ``reduction_computed``) are its fields, and
+``ring_properties`` and ``cone_to_json`` are views of it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import eq
 
 from .errors import VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
-from .frobenius import semigroup_type
+from .frobenius import pseudo_frobenius_set
 from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark tracer's self-test
 
 
@@ -119,8 +120,14 @@ class ConeDecomposition:
 
     seed: ArithmeticSeed
     table: AperyTable
+    # the order histogram, which is also the Hilbert series numerator over
+    # (1 - x); its upper index is the maximum class order
     t_counts: tuple[int, ...]
     shifts: tuple[int, ...]  # multiset of free-summand shifts, sorted
+    # The reduction number by the formula floor(a/10) + 1 and as computed:
+    # the maximum class order, valid because the cone is free.  The formula
+    # undercounts whenever classes of order floor(a/10) + 2 exist; both are
+    # reported and a disagreement is data, not an error.
     reduction_formula: int
     reduction_computed: int
 
@@ -146,27 +153,6 @@ def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
                              reduction_formula=seed.a // 10 + 1, reduction_computed=table.top)
 
 
-def reduction_number(seed: ArithmeticSeed) -> tuple[int, int]:
-    """(formula value, computed value) of the reduction number.
-
-    The computed value is the maximum Apery class order, valid because the
-    cone is free (each column flat through its order, then climbing).  The
-    formula floor(a/10) + 1 undercounts whenever classes of order
-    floor(a/10) + 2 exist; both values are reported and disagreement is data,
-    not an error.
-    """
-    dec = cone_decomposition(seed)
-    return dec.reduction_formula, dec.reduction_computed
-
-
-def hilbert_numerator(seed: ArithmeticSeed) -> tuple[int, ...]:
-    """Coefficients of the cone's Hilbert series numerator over (1 - x).
-
-    Equals the order histogram; the upper index is the maximum class order.
-    """
-    return cone_decomposition(seed).t_counts
-
-
 def ring_properties(dec: ConeDecomposition) -> dict:
     """Cohen-Macaulay / Gorenstein / Buchsbaum flags of a decomposed cone.
 
@@ -174,7 +160,8 @@ def ring_properties(dec: ConeDecomposition) -> dict:
     Gorenstein exactly when the type is 1 (never the case here, the type is
     at least 4).
     """
-    return {"cohenMacaulay": True, "gorenstein": semigroup_type(dec.seed) == 1, "buchsbaum": True}
+    gorenstein = pseudo_frobenius_set(dec.seed).type_count == 1
+    return {"cohenMacaulay": True, "gorenstein": gorenstein, "buchsbaum": True}
 
 
 # ----------------------------------------------------------------------

@@ -143,17 +143,6 @@ def _record(a: int, d: int, n: int) -> AperyRecord:
     return AperyRecord(n, mult, value, value - a, sum(exp), exp)
 
 
-def apery_values(seed: ArithmeticSeed, n: int) -> AperyRecord:
-    """Closed-form Apery record of residue index 1 <= n <= a-1.
-
-    Fails loudly outside ``require_closed_form``.
-    """
-    require_closed_form(seed)
-    if not 1 <= n <= seed.a - 1:
-        raise DomainError("residueOutOfRange", f"need 1 <= n <= {seed.a - 1}, got {n}")
-    return _record(seed.a, seed.d, n)
-
-
 def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     """Closed-form Apery set of the five-generator semigroup, classes 1..a-1.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import ArithmeticSeed, apery_values, require_closed_form
+from .family import ArithmeticSeed, _record, require_closed_form
 
 # Index offsets i such that gap(a - i) is pseudo-Frobenius, keyed by a mod 10;
 # below a = 20 only those with a - i > 8 count.  Offset 7 is absent for
@@ -48,17 +48,7 @@ class PFResult:
 def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
     """Closed-form pseudo-Frobenius data of the five-generator semigroup."""
     require_closed_form(seed)
-    a = seed.a
+    a, d = seed.a, seed.d
     indices = {a - i for i in PF_OFFSETS_BY_RESIDUE[a % 10] if a - i > 8} | {5, 8}
-    pf = tuple(sorted(apery_values(seed, n).gap for n in indices))
+    pf = tuple(sorted(_record(a, d, n).gap for n in indices))
     return PFResult(pf, max(pf), len(pf), "largeA" if a >= 20 else "smallA")
-
-
-def frobenius_number(seed: ArithmeticSeed) -> int:
-    """Closed-form Frobenius number: the largest pseudo-Frobenius gap."""
-    return pseudo_frobenius_set(seed).frobenius
-
-
-def semigroup_type(seed: ArithmeticSeed) -> int:
-    """Number of pseudo-Frobenius gaps."""
-    return pseudo_frobenius_set(seed).type_count

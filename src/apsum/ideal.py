@@ -210,8 +210,9 @@ def catalog_to_json(catalog: list[BinomialGenerator]) -> list[dict]:
 # A polynomial is the pair (lead, tail): the monic binomial x^lead - x^tail
 # with lead > tail in grevlex, or the monomial x^lead when tail is None.
 # S-polynomials and reduction rewrite one term at a time into a monomial or
-# zero, so this shape is closed under completion.  One order suffices: the
-# standard monomials of any Groebner basis span the quotient (Macaulay's
+# zero, so this shape is closed under completion.  Reduction rewrites the
+# lead only: the count reads leading monomials alone.  One order suffices:
+# the standard monomials of any Groebner basis span the quotient (Macaulay's
 # basis theorem), so the dimension count cannot depend on the order.
 # The S-polynomial of two monomials is zero, and a catalog image is mostly
 # monomials, so the pair queue holds only pairs with at least one binomial.
@@ -259,19 +260,17 @@ def _find_reducer(e: Exponents, basis: list[Poly]):
 
 
 def reduce_poly(p: Poly | None, basis: list[Poly]) -> Poly | None:
-    """Full normal form of p against basis, one term at a time; None is zero."""
+    """Rewrite the lead of p until no basis lead divides it; None is zero.
+
+    The tail is left as it is: a nonzero result's lead lies outside the lead
+    ideal, which is all Buchberger's loop needs to end with a Groebner basis.
+    """
     while p is not None:
-        lead, tail = p
-        hit = _find_reducer(lead, basis)
-        if hit is not None:
-            quot, q_tail = hit
-            p = binomial(None if q_tail is None else _mul(quot, q_tail), tail)
-            continue
-        hit = None if tail is None else _find_reducer(tail, basis)
+        hit = _find_reducer(p[0], basis)
         if hit is None:
             return p
         quot, q_tail = hit
-        p = binomial(lead, None if q_tail is None else _mul(quot, q_tail))
+        p = binomial(None if q_tail is None else _mul(quot, q_tail), p[1])
     return None
 
 

@@ -20,11 +20,9 @@ from apsum import (
     apery_table,
     cone_decomposition,
     cone_to_json,
-    frobenius_number,
     frobenius_oracle,
     gastinger_verify,
     generator_catalog,
-    hilbert_numerator,
     homogeneity_check,
     membership,
     order_histogram_closed,
@@ -109,7 +107,7 @@ def test_criterion_3_pf_and_frobenius():
         res = pseudo_frobenius_set(seed)
         paths.add(res.source_path)
         assert res.pf == pseudo_frobenius_oracle(gens), (a, d)
-        assert frobenius_number(seed) == frobenius_oracle(gens), (a, d)
+        assert res.frobenius == frobenius_oracle(gens), (a, d)
         assert res.frobenius == max(res.pf)
     assert paths == {"smallA", "largeA"}
     _report("3", f"PF set and Frobenius = oracle on {len(GRID_MAIN)} seeds, both case paths",
@@ -152,7 +150,7 @@ def test_closed_forms_vs_oracle_to_a1000():
         gens = partial_sum_generators(seed)
         assert apery_set_closed(seed) == set(apery_oracle(gens, a)), (a, d)
         assert pseudo_frobenius_set(seed).pf == pseudo_frobenius_oracle(gens), (a, d)
-        assert frobenius_number(seed) == frobenius_oracle(gens), (a, d)
+        assert pseudo_frobenius_set(seed).frobenius == frobenius_oracle(gens), (a, d)
     _report("2+3", f"Apery set, PF set and Frobenius = oracle on {len(seeds)} log-spaced "
             "seeds (120<a<=1000, d<=15)", time.perf_counter() - start)
 
@@ -237,7 +235,7 @@ def test_criterion_6_cone_freeness(cones):
         assert props["gorenstein"] is False
         assert props["buchsbaum"] is True
         assert pseudo_frobenius_set(seed).type_count >= 4
-        assert hilbert_numerator(seed) == dec.t_counts
+        assert data["hilbert"]["numerator"] == list(dec.t_counts)
     _report("6", f"every column free, CM, never Gorenstein, Hilbert = t-vector on {len(cones)} seeds",
             time.perf_counter() - start)
 
@@ -340,7 +338,7 @@ def test_closed_forms_vs_oracle_to_a5000():
         gens = partial_sum_generators(seed)
         assert apery_set_closed(seed) == set(apery_oracle(gens, a)), (a, d)
         assert pseudo_frobenius_set(seed).pf == pseudo_frobenius_oracle(gens), (a, d)
-        assert frobenius_number(seed) == frobenius_oracle(gens), (a, d)
+        assert pseudo_frobenius_set(seed).frobenius == frobenius_oracle(gens), (a, d)
     _report("2+3", f"Apery set, PF set and Frobenius = oracle on {len(seeds)} log-spaced "
             "seeds (1500<a<=5000, d<=40a)", time.perf_counter() - start)
 

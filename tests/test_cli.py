@@ -12,6 +12,7 @@ import pytest
 
 import apsum.cli
 import apsum.cone
+import apsum.frobenius
 from apsum import ArithmeticSeed, DomainError, order_oracle, partial_sum_generators
 from apsum.cli import _jobs, main
 from apsum.ideal import GastingerReport
@@ -130,6 +131,27 @@ def test_one_apery_table_per_query(capsys, monkeypatch, command, fmt):
     code, _, _ = run(capsys, command, "--a", "137", "--d", "4", "--format", fmt)
     assert code == 0
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("command,fmt,calls", [
+    ("info", "json", 1), ("pf", "json", 1), ("frobenius", "json", 1),
+    ("cone", "table", 1), ("cone", "json", 0),
+])
+def test_pf_built_at_most_once_per_query(capsys, monkeypatch, command, fmt, calls):
+    build, builds = apsum.frobenius.pseudo_frobenius_set, []
+
+    def counting(seed):
+        builds.append(seed)
+        return build(seed)
+
+    sites = [m for name, m in sys.modules.items()
+             if name.startswith("apsum.") and getattr(m, "pseudo_frobenius_set", None) is build]
+    assert apsum.cli in sites and apsum.cone in sites
+    for module in sites:
+        monkeypatch.setattr(module, "pseudo_frobenius_set", counting)
+    code, _, _ = run(capsys, command, "--a", "137", "--d", "4", "--format", fmt)
+    assert code == 0
+    assert len(builds) == calls
 
 
 def test_domain_error_exit_code(capsys):
@@ -273,25 +295,12 @@ def test_sweep_bad_range_is_usage_error(capsys, a_range, d_range):
     assert json.loads(err)["error"] == "invalidRange"
 
 
-def test_bad_apsum_jobs_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("APSUM_JOBS", "x")
-    code, out, err = run(capsys, "sweep", "gamma6", "--a-range", "16:17", "--d-range", "1:1")
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "invalidJobs"
-
-
 def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.delenv("APSUM_JOBS", raising=False)
     assert _jobs(argparse.Namespace(jobs=None)) == 2
     assert _jobs(argparse.Namespace(jobs=64)) == 2
     assert _jobs(argparse.Namespace(jobs=0)) == 1
-    monkeypatch.setenv("APSUM_JOBS", "1000")
-    assert _jobs(argparse.Namespace(jobs=None)) == 2
-    assert _jobs(argparse.Namespace(jobs=1)) == 1  # --jobs wins over the environment
-    monkeypatch.setenv("APSUM_JOBS", "0")
-    assert _jobs(argparse.Namespace(jobs=None)) == 1
+    assert _jobs(argparse.Namespace(jobs=1)) == 1
 
 
 def test_sweep_unique_small_m_is_domain_error(capsys):

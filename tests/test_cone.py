@@ -18,10 +18,8 @@ from apsum import (
     apery_table,
     cone_decomposition,
     cone_to_json,
-    hilbert_numerator,
     order_histogram_closed,
     partial_sum_generators,
-    reduction_number,
     ring_properties,
 )
 from apsum.cone import _non_free_column
@@ -174,14 +172,15 @@ def test_shifts_match_histogram():
     [(11, 2, (2, 3)), (20, 3, (3, 3)), (23, 1, (3, 3))],
 )
 def test_reduction_number(a, d, expected):
-    assert reduction_number(ArithmeticSeed(a, d)) == expected
+    dec = cone_decomposition(ArithmeticSeed(a, d))
+    assert (dec.reduction_formula, dec.reduction_computed) == expected
 
 
 def test_hilbert_numerator():
-    assert hilbert_numerator(SEED_11_2) == (1, 4, 4, 2)
-    assert hilbert_numerator(ArithmeticSeed(23, 1)) == (1, 4, 9, 9)
+    assert cone_decomposition(SEED_11_2).t_counts == (1, 4, 4, 2)
+    assert cone_decomposition(ArithmeticSeed(23, 1)).t_counts == (1, 4, 9, 9)
     for seed in (SEED_11_2, ArithmeticSeed(29, 2)):
-        assert sum(hilbert_numerator(seed)) == seed.a
+        assert sum(cone_decomposition(seed).t_counts) == seed.a
 
 
 def test_ring_properties():

@@ -18,7 +18,6 @@ from apsum import (
     apery_records,
     apery_set_closed,
     apery_set_conjectured6,
-    apery_values,
     canonical_expansion,
     element_order,
     is_minimal_generating,
@@ -138,14 +137,8 @@ def test_least_degrees_five_is_the_canonical_degree():
     ],
 )
 def test_apery_value_examples(n, seed, expected):
-    vals = apery_values(seed, n)
+    vals = apery_records(seed)[n - 1]
     assert (vals.multiplier, vals.value, vals.gap) == expected
-
-
-def test_apery_values_range_check():
-    with pytest.raises(DomainError) as err:
-        apery_values(ArithmeticSeed(11, 2), 11)
-    assert err.value.code == "residueOutOfRange"
 
 
 @pytest.mark.parametrize(
@@ -157,7 +150,7 @@ def test_apery_values_range_check():
 )
 def test_apery_values_outside_closed_form(seed, code):
     with pytest.raises(DomainError) as err:
-        apery_values(seed, 3)
+        apery_records(seed)
     assert err.value.code == code
     with pytest.raises(DomainError) as err:
         element_order(seed, 24)

@@ -11,12 +11,10 @@ from apsum import (
     DomainError,
     apery_oracle,
     apery_set_closed,
-    frobenius_number,
     frobenius_oracle,
     partial_sum_generators,
     pseudo_frobenius_oracle,
     pseudo_frobenius_set,
-    semigroup_type,
 )
 
 
@@ -37,7 +35,7 @@ def test_residue3_example():
 
 
 def test_residue6_type():
-    assert semigroup_type(ArithmeticSeed(26, 1)) == 6  # four offsets plus two fixed
+    assert pseudo_frobenius_set(ArithmeticSeed(26, 1)).type_count == 6  # four offsets plus two fixed
 
 
 @pytest.mark.parametrize(
@@ -55,7 +53,7 @@ def test_residue6_type():
     ],
 )
 def test_frobenius_examples(a, d, expected):
-    assert frobenius_number(ArithmeticSeed(a, d)) == expected
+    assert pseudo_frobenius_set(ArithmeticSeed(a, d)).frobenius == expected
 
 
 def test_below_threshold_rejected():
@@ -70,7 +68,7 @@ def test_deep_frobenius_residues():
     # the top class does once d > 2a
     for a, d in ((21, 1), (27, 2), (31, 4), (37, 1), (21, 43), (31, 63)):
         seed = ArithmeticSeed(a, d)
-        assert frobenius_number(seed) == frobenius_oracle(partial_sum_generators(seed))
+        assert pseudo_frobenius_set(seed).frobenius == frobenius_oracle(partial_sum_generators(seed))
 
 
 def test_closed_forms_match_oracle_on_grid():
@@ -82,9 +80,9 @@ def test_closed_forms_match_oracle_on_grid():
             gens = partial_sum_generators(seed)
             res = pseudo_frobenius_set(seed)
             assert res.pf == pseudo_frobenius_oracle(gens), (a, d)
-            assert frobenius_number(seed) == frobenius_oracle(gens), (a, d)
+            assert res.frobenius == frobenius_oracle(gens), (a, d)
             assert res.frobenius == max(res.pf)
-            assert frobenius_number(seed) in res.pf
+            assert res.frobenius in res.pf
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,4 +94,4 @@ def test_closed_forms_match_oracle_at_random_large_d(seed_pair):
     gens = partial_sum_generators(seed)
     assert apery_set_closed(seed) == set(apery_oracle(gens, a))
     assert pseudo_frobenius_set(seed).pf == pseudo_frobenius_oracle(gens)
-    assert frobenius_number(seed) == frobenius_oracle(gens)
+    assert pseudo_frobenius_set(seed).frobenius == frobenius_oracle(gens)
