@@ -26,10 +26,8 @@ from .family import (
     apery_set_conjectured6,
     canonical_expansion,
     element_order,
-    least_degrees,
     minimality_check,
     partial_sum_generators,
-    triangular_digits,
     uniqueness_check,
 )
 from .frobenius import PFResult, pseudo_frobenius_set

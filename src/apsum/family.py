@@ -149,7 +149,10 @@ def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     Fails loudly outside ``require_closed_form``.
     """
     require_closed_form(seed)
-    return [_record(seed.a, seed.d, n) for n in range(1, seed.a)]
+    records = [None] * (seed.a - 1)  # sized first, so an a too large to list fails here, not mid-loop
+    for n in range(1, seed.a):
+        records[n - 1] = _record(seed.a, seed.d, n)
+    return records
 
 
 def element_order(seed: ArithmeticSeed, v: int) -> int:

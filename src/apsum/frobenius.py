@@ -1,36 +1,18 @@
 """Closed-form pseudo-Frobenius sets, Frobenius numbers, and type.
 
-Valid for the five-generator family with a >= 11.  The pseudo-Frobenius
-gaps sit at fixed index offsets below a that depend only on a mod 10, plus
-the two fixed classes 5 and 8.  For 11 <= a <= 19 this is the same rule with
-the offsets that reach index 8 or below dropped: the small-a lists are its
-q = 1 case.  The Frobenius number is the largest pseudo-Frobenius gap.
-Every table here is verified against the brute-force oracle over the
-acceptance grid.
+Valid for the five-generator family with a >= 11.  PF(S) is w - a over the
+Apery elements w that are maximal in Ap(S, a) (Rosales & Garcia-Sanchez,
+*Numerical Semigroups*, ch. 2).  ``pseudo_frobenius_oracle`` applies that rule
+to the oracle's Apery set; here it runs on the closed form, over the classes
+within C(5, 2) = 10 of either end only.  The Frobenius number is the largest
+pseudo-Frobenius gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import ArithmeticSeed, _record, require_closed_form
-
-# Index offsets i such that gap(a - i) is pseudo-Frobenius, keyed by a mod 10;
-# below a = 20 only those with a - i > 8 count.  Offset 7 is absent for
-# residue 3: gap(a-1) - gap(a-7) equals the degree-4 generator, so gap(a-7)
-# is never maximal.
-PF_OFFSETS_BY_RESIDUE = {
-    0: (1, 2, 3, 5, 6),
-    1: (1, 2, 3, 4, 6, 7),
-    2: (1, 3, 4, 5, 7, 8),
-    3: (1, 2, 4, 5, 6, 8, 9),
-    4: (1, 2, 3, 5, 6, 7, 9, 10),
-    5: (1, 3, 6, 7, 8, 10),
-    6: (1, 2, 8, 9),
-    7: (1, 2, 3, 9, 10),
-    8: (1, 3, 4, 10),
-    9: (1, 2, 4, 5),
-}
+from .family import ArithmeticSeed, _degree, canonical_expansion, require_closed_form
 
 
 @dataclass(frozen=True)
@@ -46,9 +28,23 @@ class PFResult:
 
 
 def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
-    """Closed-form pseudo-Frobenius data of the five-generator semigroup."""
+    """Closed-form pseudo-Frobenius data of the five-generator semigroup.
+
+    The Apery element w_n of class index n is maximal when no w_n + g_k,
+    g_k = k*a + C(k, 2)*d for k = 2..5, is again an Apery element.  w_n + g_k
+    lies in class (n + C(k, 2)) mod a, so it is one exactly when it equals
+    that class's value (class 0 holds 0).  Only the window
+    {1..9} | {a-10..a-1} can hold maximal classes: for 10 <= n < a - 10 the
+    canonical expansion of n + 10 is that of n plus one degree-5 generator
+    (both have a 10-digit, so the rewrite applies to both or neither), so
+    w_(n+10) = w_n + g_5.  About 30 class values, O(1) in a.
+    """
     require_closed_form(seed)
     a, d = seed.a, seed.d
-    indices = {a - i for i in PF_OFFSETS_BY_RESIDUE[a % 10] if a - i > 8} | {5, 8}
-    pf = tuple(sorted(_record(a, d, n).gap for n in indices))
+    steps = [(k * a + k * (k - 1) // 2 * d, k * (k - 1) // 2) for k in range(2, 6)]
+    window = {*range(1, 10), *range(a - 10, a)}
+    value = {n: _degree(canonical_expansion(n)) * a + n * d
+             for n in window | {(n + c) % a for n in window for _, c in steps}}
+    not_maximal = {n for n in window for g, c in steps if value[n] + g == value[(n + c) % a]}
+    pf = tuple(sorted(value[n] - a for n in window - not_maximal))
     return PFResult(pf, max(pf), len(pf), "largeA" if a >= 20 else "smallA")

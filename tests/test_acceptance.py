@@ -144,7 +144,7 @@ def test_closed_forms_vs_oracle_to_a1000():
     start = time.perf_counter()
     seeds = log_spaced_seeds(120, 1000, 100, 15)
     assert len(set(seeds)) == 100 and max(a for a, _ in seeds) == 1000
-    assert {a % 10 for a, _ in seeds} == set(range(10))  # every PF offset row
+    assert {a % 10 for a, _ in seeds} == set(range(10))  # every residue of a mod 10
     for a, d in seeds:
         seed = ArithmeticSeed(a, d)
         gens = partial_sum_generators(seed)

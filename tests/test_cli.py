@@ -368,6 +368,11 @@ def test_unwritable_checkpoint_is_io_error(capsys, tmp_path, where):
     (["order", "--a", "7", "--d", "1", "--value", str(10**20)], "tooLarge"),  # a < 11: the oracle
     (["apery", "--oracle", "--a", str(10**20), "--d", "1"], "tooLarge"),
     (["frobenius", "--oracle", "--a", str(10**20), "--d", "1"], "tooLarge"),
+    # closed commands that list all a - 1 Apery classes: the list is sized before it is filled
+    (["apery", "--a", str(10**20), "--d", "1"], "tooLarge"),
+    (["table", "--a", str(10**20), "--d", "1"], "tooLarge"),
+    (["cone", "--a", str(10**20), "--d", "1"], "tooLarge"),
+    (["hilbert", "--a", str(10**20), "--d", "1"], "tooLarge"),
 ])
 def test_bad_input_is_a_coded_domain_error(capsys, argv, error):
     code, out, err = run(capsys, *argv)

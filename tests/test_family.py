@@ -21,15 +21,13 @@ from apsum import (
     canonical_expansion,
     element_order,
     is_minimal_generating,
-    least_degrees,
     membership,
     minimality_check,
     order_oracle,
     partial_sum_generators,
-    triangular_digits,
     uniqueness_check,
 )
-from apsum.family import UniquenessReport, UniquenessViolation
+from apsum.family import UniquenessReport, UniquenessViolation, least_degrees, triangular_digits
 from apsum.oracle import orders_up_to, representation_counts, representations, validate_generators
 
 

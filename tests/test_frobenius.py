@@ -16,6 +16,7 @@ from apsum import (
     pseudo_frobenius_oracle,
     pseudo_frobenius_set,
 )
+from apsum.family import least_degrees
 
 
 def test_small_a_example():
@@ -27,7 +28,8 @@ def test_small_a_example():
 
 
 def test_residue3_example():
-    # offsets {1,2,4,5,6,8,9} below a, plus the fixed classes 5 and 8
+    # maximal classes 5 and 8 at the low end, seven at the top (a - 7 is not: its
+    # element plus the degree-4 generator is the element of class a - 1)
     res = pseudo_frobenius_set(ArithmeticSeed(23, 1))
     assert res.type_count == 9
     assert res.source_path == "largeA"
@@ -35,7 +37,7 @@ def test_residue3_example():
 
 
 def test_residue6_type():
-    assert pseudo_frobenius_set(ArithmeticSeed(26, 1)).type_count == 6  # four offsets plus two fixed
+    assert pseudo_frobenius_set(ArithmeticSeed(26, 1)).type_count == 6  # four top classes plus 5 and 8
 
 
 @pytest.mark.parametrize(
@@ -69,6 +71,23 @@ def test_deep_frobenius_residues():
     for a, d in ((21, 1), (27, 2), (31, 4), (37, 1), (21, 43), (31, 63)):
         seed = ArithmeticSeed(a, d)
         assert pseudo_frobenius_set(seed).frobenius == frobenius_oracle(partial_sum_generators(seed))
+
+
+def test_maximal_classes_lie_in_the_window():
+    # the maximality rule on every class, not only the window {1..9} | {a-10..a-1}
+    # that pseudo_frobenius_set tests: no maximal class lies outside it.  The Apery
+    # values come from the least-degree DP, which equals the closed form's degree
+    least = least_degrees(5, 299)
+    for a in range(11, 301):
+        for d in range(1, 13):
+            if gcd(a, d) != 1:
+                continue
+            seed = ArithmeticSeed(a, d)
+            value = [least[n] * a + n * d for n in range(a)]
+            steps = [(k * a + k * (k - 1) // 2 * d, k * (k - 1) // 2) for k in range(2, 6)]
+            maximal = [n for n in range(1, a) if all(value[n] + g != value[(n + c) % a] for g, c in steps)]
+            assert all(n < 10 or n >= a - 10 for n in maximal), (a, d)
+            assert tuple(sorted(value[n] - a for n in maximal)) == pseudo_frobenius_set(seed).pf, (a, d)
 
 
 def test_closed_forms_match_oracle_on_grid():

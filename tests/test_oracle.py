@@ -90,7 +90,7 @@ def test_single_generator_one_is_minimal():
 def test_pseudo_frobenius_oracle_examples():
     assert pseudo_frobenius_oracle((2, 3)) == (1,)
     assert pseudo_frobenius_oracle(GENS_11_2) == (64, 76, 84, 93)
-    # residue 3 mod 10: seven offset gaps plus the two fixed classes
+    # a = 23: seven maximal classes at the top end plus classes 5 and 8
     assert len(pseudo_frobenius_oracle(GENS_23_1)) == 9
 
 
