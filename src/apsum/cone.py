@@ -1,27 +1,21 @@
 """Apery table, freeness check, and the tangent-cone decomposition.
 
 Row s of the Apery table lists the least element of M^s, M the maximal
-ideal, in each class; column n is the class of n * d mod a.  The rows come
-from a DP in column order, M^s = gens + M^(s-1), where generator j shifts the
-column by C(j, 2) = 0, 1, 3, 6, 10, the closed form's digit steps, at O(m * a)
-per row whatever d is; a column stays flat through the order of its Apery
-class and then climbs by the multiplicity, so the class orders are read off.
-The tangent cone is free over the fiber cone exactly when every column does
-that, guard row included; any other flat step is torsion.  A decomposition
-exists only for a free cone, as this family's is: its shifts are the class
-orders and the order histogram doubles as the Hilbert series numerator.
-
-``cone_decomposition`` is the one result per seed: it builds the table once,
-refuses a non-free one, checks the order histogram against the closed form
-and keeps the table.  The Hilbert numerator (``t_counts``) and the reduction
-number (``reduction_formula``, ``reduction_computed``) are its fields, and
-``ring_properties`` and ``cone_to_json`` are views of it.
+ideal, in each class; column n is the class of n * d mod a.  The cone is
+free over the fiber cone exactly when every column stays flat through the
+order of its Apery class and then climbs by a, guard row included.
+``apery_table`` certifies that shape from the closed records against the
+layered DP M^s = gens + M^(s-1) in O(m * a), refusing a non-free cone; the
+O(a^2 / 10) rows are built only where they are read.  ``cone_decomposition``
+is the one result per seed: its shifts are the class orders, whose
+histogram, checked against the closed form, is the Hilbert numerator
+(``t_counts``); ``ring_properties`` and ``cone_to_json`` are views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
+from functools import cached_property
 
 from .errors import VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
@@ -31,52 +25,60 @@ from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark t
 
 @dataclass(frozen=True)
 class AperyTable:
-    """Rows 0..top of the table plus one guard row used by the freeness check."""
+    """Row 0 and the column orders; row s at column n is
+    values[n] + max(0, s - orders[n]) * a, a the number of columns."""
 
-    rows: tuple[tuple[int, ...], ...]
-    guard_row: tuple[int, ...]
+    values: tuple[int, ...]  # row 0: the Apery set in column order
     orders: tuple[int, ...]  # last row keeping each column's row-0 value, 0 for column 0
 
     @property
     def top(self) -> int:
-        return len(self.rows) - 1
+        return max(self.orders)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        # column n holds values[n] through its order, then climbs by a to row top
+        a, top = len(self.values), self.top
+        return tuple(zip(*((w,) * o + tuple(range(w, w + (top - o) * a + 1, a))
+                           for w, o in zip(self.values, self.orders))))
+
+    @cached_property
+    def guard_row(self) -> tuple[int, ...]:
+        a, top = len(self.values), self.top
+        return tuple(w + (top + 1 - o) * a for w, o in zip(self.values, self.orders))
 
 
 def apery_table(seed: ArithmeticSeed) -> AperyTable:
-    """Rows 0..top of the table plus a guard row, as a layered DP in column order.
+    """The table of the closed records, certified against the layered DP.
 
-    Row 0 is the Apery set, column n holding the class of n * d mod a.
-    Generator g_j = j a + C(j, 2) d lies in the class of C(j, 2) d, so row s
-    at column n is the min over j of g_j + row_(s-1)[(n - C(j, 2)) mod a]:
-    one rotated copy of the previous row per generator.  The guard row is the
-    first row s >= 2 where no column t >= 1 keeps its row-0 value, and a
-    column's order is the last row keeping it.
+    With w_n, o_n from the records (w_0 = o_0 = 0) the table is
+    P_s[n] = w_n + max(0, s - o_n) a.  The DP row s >= 1 at column n is the
+    min over j of g_j + row_(s-1)[n'], n' = (n - C(j, 2)) mod a, as g_j lies
+    in the class of C(j, 2) d.  Let delta = (g_j + w_n' - w_n) / a and check
+    (i) delta is an integer, so each column keeps to its class,
+    (ii) delta >= max(0, o_n' + 1 - o_n), and
+    (iii) for n >= 1 some j has delta = 0 and o_n' = o_n - 1.
+    Given (i), P is the DP at every row iff (ii) and (iii) hold.
+    By induction on s: g_j + P_(s-1)[n'] - P_s[n] = a f_j(s), where
+    f_j(s) = delta + max(0, s - 1 - o_n') - max(0, s - o_n) bends only at
+    o_n and o_n' + 1, so f_j >= 0 on s >= 1 (at s = 1 and in the limit) is
+    (ii).  Generator 1 (delta = 1) has f_1(s) = 0 for s > o_n; for s <= o_n,
+    f_j(s) = 0 needs delta = 0 and o_n' >= s - 1, so one j serves every s iff
+    o_n' >= o_n - 1, capped at o_n - 1 by (ii): (iii), which also asks
+    o_n >= 1, as w_n != 0 lies in M.  Columns keep w_n through o_n, so top
+    is max o_n.  O(m * a); the first failing column raises ``nonFreeCone``.
     """
-    shifts = [(j * (j - 1) // 2 % seed.a, g) for j, g in enumerate(partial_sum_generators(seed), 1)]
-    level = (0, *(rec.value for rec in apery_records(seed)))
-    rows = [level]
-    while True:
-        # each rotation puts row_(s-1)[(n - k) mod a] at column n
-        level = tuple(map(min, *(map(g.__add__, level[-k:] + level[:-k]) for k, g in shifts)))
-        if len(rows) >= 2 and not any(map(eq, level[1:], rows[0][1:])):
-            break
-        rows.append(level)
-    # columns never decrease, so the rows keeping row 0 form a prefix
-    orders = tuple(col.count(col[0]) - 1 for col in zip(*rows))
-    return AperyTable(tuple(rows), level, orders)
-
-
-def _non_free_column(table: AperyTable) -> int | None:
-    """First column t >= 1 that is not free, or None when the cone is free.
-
-    A column never decreases, guard row included, so its flat steps number
-    len(col) - len(set(col)).  The first `order` steps are flat by the
-    definition of the order, and the column is free when no other step is.
-    """
-    for t, col in enumerate(zip(*table.rows, table.guard_row)):
-        if t and len(col) - len(set(col)) != table.orders[t]:
-            return t
-    return None
+    records = apery_records(seed)
+    table = AperyTable((0, *(rec.value for rec in records)), (0, *(rec.order for rec in records)))
+    w, o = table.values, table.orders
+    # generator 1 passes (i) and (ii) everywhere; w[n - k] wraps to class (n - k) mod a
+    steps = [(j * (j - 1) // 2 % seed.a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
+    for n in range(seed.a):
+        checks = [(divmod(g + w[n - k] - w[n], seed.a), o[n - k] - o[n]) for k, g in steps]
+        if not all(rem == 0 and delta >= max(0, gap + 1) for (delta, rem), gap in checks) or (
+                n and ((0, 0), -1) not in checks):
+            raise VerificationError("nonFreeCone", f"column {n} is not free at (a, d) = ({seed.a}, {seed.d})")
+    return table
 
 
 def _histogram(orders) -> list[int]:
@@ -133,15 +135,10 @@ class ConeDecomposition:
 
 
 def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
-    """Build the table once and decompose the cone from it.
-
-    A non-free table is refused.  The direct t_k, counted from the class
-    orders read off the table, is cross-checked against the closed form.
+    """Build the table once (``apery_table`` refuses a non-free cone) and
+    check the t_k counted from its certified orders against the closed form.
     """
     table = apery_table(seed)
-    column = _non_free_column(table)
-    if column is not None:
-        raise VerificationError("nonFreeCone", f"column {column} is not free at (a, d) = ({seed.a}, {seed.d})")
     direct = _histogram(table.orders)
     closed = order_histogram_closed(seed.a)
     if direct != closed:

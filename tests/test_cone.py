@@ -1,8 +1,11 @@
 """Apery table, freeness check, cone decomposition, Hilbert data, ring flags."""
 
 import json
-from itertools import accumulate
+from dataclasses import replace
 from math import gcd
+from operator import eq
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +14,6 @@ from hypothesis import strategies as st
 import apsum.cli
 import apsum.cone
 from apsum import (
-    AperyTable,
     ArithmeticSeed,
     VerificationError,
     apery_records,
@@ -22,7 +24,6 @@ from apsum import (
     partial_sum_generators,
     ring_properties,
 )
-from apsum.cone import _non_free_column
 from apsum.oracle import orders_up_to
 
 SEED_11_2 = ArithmeticSeed(11, 2)
@@ -58,6 +59,41 @@ def test_table_row_structure_generic():
                 assert v in (u, u + seed.a)
         for s, row in enumerate(table.rows[1:], start=1):
             assert all(order_oracle(v, gens) >= s for v in row)
+
+
+def reference_apery_table(seed):
+    """Reference (rows, guard row, orders) from the layered DP in column order.
+
+    Row s at column n is the min over j of g_j + row_(s-1)[(n - C(j, 2)) mod a]:
+    one rotated copy of the previous row per generator.  The guard row is the
+    first row s >= 2 where no column t >= 1 keeps its row-0 value, and a
+    column's order is the last row keeping it.
+    """
+    shifts = [(j * (j - 1) // 2 % seed.a, g) for j, g in enumerate(partial_sum_generators(seed), 1)]
+    level = (0, *(rec.value for rec in apery_records(seed)))
+    rows = [level]
+    while True:
+        # each rotation puts row_(s-1)[(n - k) mod a] at column n
+        level = tuple(map(min, *(map(g.__add__, level[-k:] + level[:-k]) for k, g in shifts)))
+        if len(rows) >= 2 and not any(map(eq, level[1:], rows[0][1:])):
+            break
+        rows.append(level)
+    # columns never decrease, so the rows keeping row 0 form a prefix
+    orders = tuple(col.count(col[0]) - 1 for col in zip(*rows))
+    return tuple(rows), level, orders
+
+
+def assert_matches_reference(table, seed):
+    assert (table.rows, table.guard_row, table.orders) == reference_apery_table(seed), (seed.a, seed.d)
+
+
+def test_table_matches_dp_reference():
+    seeds = [(a, d) for a in range(11, 160) for d in (1, 2, 3, 7, 11, 40 * a - 1) if gcd(a, d) == 1]
+    for a, d in seeds + [(1000, 7), (1000, 3001)]:
+        seed = ArithmeticSeed(a, d)
+        table = apery_table(seed)
+        assert_matches_reference(table, seed)
+        assert table.top == len(table.rows) - 1
 
 
 def orders_table(seed):
@@ -102,36 +138,53 @@ def test_orders_11_2():
     assert table.orders[8] == 3  # value 104 flat through row 3
     assert table.orders[2] == 2  # value 48 flat through row 2
     assert table.orders[0] == 0  # the multiplicity column climbs from row 0
-    assert _non_free_column(table) is None
-
-
-STEP = 11  # the multiplicity of the drawn tables
-
-
-@st.composite
-def ladder_tables(draw):
-    """(table, ladders): column t >= 1 of the table steps by ladders[t - 1],
-    0 or STEP from row to row, guard row included.  Each ladder climbs at
-    least once, so the guard row leaves every row-0 value behind, as in a
-    built table."""
-    height = draw(st.integers(1, 8))
-    steps = st.lists(st.sampled_from((0, STEP)), min_size=height, max_size=height)
-    ladders = draw(st.lists(steps.filter(lambda s: STEP in s), min_size=1, max_size=4))
-    columns = [tuple(accumulate([t] + s)) for t, s in enumerate([[STEP] * height] + ladders)]
-    *rows, guard = zip(*columns)
-    orders = tuple(col.count(col[0]) - 1 for col in zip(*rows))
-    return AperyTable(tuple(rows), guard, orders), ladders
 
 
 @settings(max_examples=200, deadline=None)
-@given(ladder_tables())
-def test_non_free_column_accepts_exactly_prefix_flats(drawn):
-    # ladders that pause after a climb (torsion-shaped columns) never come
-    # out of this family's tables, so they are drawn directly
-    table, ladders = drawn
-    prefix_flats = [s == sorted(s) for s in ladders]
-    expected = None if all(prefix_flats) else prefix_flats.index(False) + 1
-    assert _non_free_column(table) == expected
+@given(st.integers(11, 300).flatmap(lambda a: st.tuples(
+    st.just(a), st.integers(1, 40 * a), st.integers(1, a - 1),
+    st.sampled_from((("order", 1), ("order", -1), ("value", a))))))
+def test_perturbed_record_is_refused(drawn):
+    # one record off by one order, or by one multiple of a, is a table the
+    # layered DP does not build, and the certificate must see it
+    a, d, n, (field, step) = drawn
+    assume(gcd(a, d) == 1)
+    seed = ArithmeticSeed(a, d)
+    records = apery_records(seed)
+    records[n - 1] = replace(records[n - 1], **{field: getattr(records[n - 1], field) + step})
+    with mock.patch.object(apsum.cone, "apery_records", lambda _: records):
+        with pytest.raises(VerificationError) as err:
+            apery_table(seed)
+    assert err.value.code == "nonFreeCone"
+
+
+def test_value_off_its_class_is_refused_where_it_first_shows(monkeypatch):
+    # class 10's value 75 + 1 leaves its class; column 0 meets it first, where
+    # g_2 + w_10 must be a multiple of a, so (i) names column 0
+    records = apery_records(SEED_11_2)
+    records[9] = replace(records[9], value=76)
+    monkeypatch.setattr(apsum.cone, "apery_records", lambda _: records)
+    with pytest.raises(VerificationError, match="nonFreeCone: column 0 "):
+        apery_table(SEED_11_2)
+
+
+def test_order_below_the_longest_expansion_is_refused(monkeypatch):
+    # g_4 raised by 2a to 2 g_3 = 78 keeps its class at (11, 2), and class 6
+    # then has the expansions g_4 and g_3 + g_3, so its order is 2.  A record
+    # claiming 1 has the order-0 predecessor of g_4 for (iii), and only (ii)
+    # sees the longer expansion through class 3.
+    from apsum import apery_oracle, order_oracle
+
+    gens = (11, 24, 39, 78, 75)
+    least = {v % 11: v for v in apery_oracle(sorted(gens), 11)}
+    records = [SimpleNamespace(value=least[2 * n % 11], order=order_oracle(least[2 * n % 11], sorted(gens)))
+               for n in range(1, 11)]
+    monkeypatch.setattr(apsum.cone, "partial_sum_generators", lambda _: gens)
+    monkeypatch.setattr(apsum.cone, "apery_records", lambda _: records)
+    assert apery_table(SEED_11_2).orders == (0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 1)
+    records[5] = SimpleNamespace(value=78, order=1)
+    with pytest.raises(VerificationError, match="nonFreeCone: column 6 "):
+        apery_table(SEED_11_2)
 
 
 def test_order_histograms():
@@ -144,7 +197,7 @@ def test_order_histograms():
 def test_cone_decomposition_11_2():
     dec = cone_decomposition(SEED_11_2)
     assert dec.t_counts == (1, 4, 4, 2)
-    assert _non_free_column(dec.table) is None
+    assert_matches_reference(dec.table, SEED_11_2)
     data = cone_to_json(dec)
     assert data["free"] is True
     assert data["torsion"] == []
@@ -154,7 +207,7 @@ def test_cone_decomposition_11_2():
 def test_cone_decomposition_23_1():
     dec = cone_decomposition(ArithmeticSeed(23, 1))
     assert dec.t_counts == (1, 4, 9, 9)
-    assert _non_free_column(dec.table) is None
+    assert_matches_reference(dec.table, ArithmeticSeed(23, 1))
     assert cone_to_json(dec)["free"] is True
 
 
@@ -174,6 +227,12 @@ def test_shifts_match_histogram():
 def test_reduction_number(a, d, expected):
     dec = cone_decomposition(ArithmeticSeed(a, d))
     assert (dec.reduction_formula, dec.reduction_computed) == expected
+
+
+def test_hilbert_at_large_a_skips_the_rows(capsys):
+    # about 10^8 DP cells; the certificate and the orders alone are O(m * a)
+    assert apsum.cli.main(["hilbert", "--a", "30011", "--d", "7"]) == 0
+    assert sum(json.loads(capsys.readouterr().out)["payload"]["numerator"]) == 30011
 
 
 def test_hilbert_numerator():
@@ -230,20 +289,20 @@ def test_histogram_cross_check_can_fail(monkeypatch, capsys):
 
 
 def doctored_11_2(seed):
-    """The (11, 2) table with column 10 pausing again at row 3 (86 -> 86),
-    a flat step past its order 1."""
-    table = apery_table(seed)
-    rows = [list(row) for row in table.rows]
-    rows[3][10] = rows[2][10]
-    return AperyTable(tuple(map(tuple, rows)), table.guard_row, table.orders)
+    """The (11, 2) records with class 10's order raised from 1 to 2: its
+    value 75 = g_5 + 0 comes one row too early for order 2."""
+    records = apery_records(seed)
+    assert records[9].order == 1
+    records[9] = replace(records[9], order=2)
+    return records
 
 
 def test_non_free_table_is_refused(monkeypatch, capsys):
-    monkeypatch.setattr(apsum.cone, "apery_table", doctored_11_2)
-    assert _non_free_column(apsum.cone.apery_table(SEED_11_2)) == 10
+    monkeypatch.setattr(apsum.cone, "apery_records", doctored_11_2)
     with pytest.raises(VerificationError) as err:
         cone_decomposition(SEED_11_2)
     assert err.value.code == "nonFreeCone"
+    assert "column 10 " in str(err.value)
     for command in ("cone", "hilbert"):
         assert apsum.cli.main([command, "--a", "11", "--d", "2"]) == 4
         captured = capsys.readouterr()
