@@ -15,7 +15,9 @@ once and returns (payload, exit code, text), where text maps "csv" or
 generically.  Only the requested format is rendered: json is the envelope;
 csv is a header plus one row per record of a list payload, or one row for a
 dict payload, with list and dict cells written as JSON; table is one
-"key: value" line per field.
+"key: value" line per field.  JSON is written byte for byte as
+``json.dumps(envelope, indent=2, sort_keys=True)`` would write it, and only
+the leaf named on the command line gets its flags.
 """
 
 from __future__ import annotations
@@ -80,9 +82,33 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, with ``pad`` the newline and current indent.
+
+    With ``indent`` set, the stdlib drops to its pure-Python encoder, one
+    generator frame per item; here a plain int is its str, a list of plain
+    ints (bools print as true/false, so they are not) is one join, and other
+    scalars and empty containers go through the C encoder.
+    """
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            body = ("," + inner).join(map(str, value))
+        else:
+            body = ("," + inner).join(_json(v, inner) for v in value)
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        body = ("," + inner).join(json.dumps(k) + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + body + pad + "}"
+    return json.dumps(value)
+
+
 def _render(envelope: dict, fmt: str, text: dict) -> str:
     if fmt == "json":
-        return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        return _json(envelope) + "\n"
     if fmt in text:
         return text[fmt]()
     payload = envelope["payload"]
@@ -254,7 +280,17 @@ def _cmd_sweep_gamma6(seed, args):
                                jobs=_jobs(args), checkpoint_path=args.checkpoint), "mismatches")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The argparse tree; given ``argv``, only the leaves and groups it names get their flags.
+
+    Every leaf is still registered with its summary, so ``apsum --help``,
+    the choices and the "invalid choice" errors read the same, and a leaf's
+    own parse and help are the same whenever its name is on the line.
+    Without ``argv`` the whole tree is built.
+    """
+    def named(word):
+        return argv is None or word in argv
+
     parser = argparse.ArgumentParser(
         prog="apsum",
         description="Exact invariants of numerical semigroups generated by partial sums "
@@ -263,10 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def leaf(group, name, handler, summary, m=None):
-        """Add leaf `name` (its envelope name) to `group` with its shared flags; --m only if m is given."""
+    def register(group, word, summary):
+        """Add `word` to `group`: its parser if argv names it, else a bare stub (not even -h) and None."""
+        p = group.add_parser(word, help=summary, add_help=named(word))
+        return p if named(word) else None
+
+    def leaf(group, name, handler, summary, m=None, extra=()):
+        """Add leaf `name` (its envelope name) to `group`; if named, its shared flags,
+        --m only if m is given, then each (flag, kwargs) of `extra`."""
+        p = register(group, name.split()[-1], summary)
+        if p is None:
+            return
         sweep = name.startswith("sweep ")
-        p = group.add_parser(name.split()[-1], help=summary)
         p.set_defaults(handler=handler, name=name)
         if not sweep:
             p.add_argument("--a", type=int, required=True, help="first term of the progression")
@@ -282,39 +326,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", default=None,
                        help=None if sweep else "write output to a file instead of stdout")
-        return p
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
 
+    oracle = ("--oracle", {"action": "store_true"})
     leaf(sub, "info", _cmd_info, "generators and basic invariants", m=5)
-    leaf(sub, "apery", _cmd_apery, "Apery set (closed form, or --oracle)", m=5).add_argument(
-        "--oracle", action="store_true", help="use the brute-force oracle instead of the closed form")
-    leaf(sub, "frobenius", _cmd_frobenius, "Frobenius number", m=5).add_argument(
-        "--oracle", action="store_true")
-    leaf(sub, "pf", _cmd_pf, "pseudo-Frobenius numbers and type", m=5).add_argument(
-        "--oracle", action="store_true")
-    leaf(sub, "order", _cmd_order, "order of an element (max generator count)", m=5).add_argument(
-        "--value", type=int, required=True, help="semigroup element")
+    leaf(sub, "apery", _cmd_apery, "Apery set (closed form, or --oracle)", m=5, extra=[(
+        "--oracle", {"action": "store_true",
+                     "help": "use the brute-force oracle instead of the closed form"})])
+    leaf(sub, "frobenius", _cmd_frobenius, "Frobenius number", m=5, extra=[oracle])
+    leaf(sub, "pf", _cmd_pf, "pseudo-Frobenius numbers and type", m=5, extra=[oracle])
+    leaf(sub, "order", _cmd_order, "order of an element (max generator count)", m=5, extra=[(
+        "--value", {"type": int, "required": True, "help": "semigroup element"})])
 
-    ideal_sub = sub.add_parser("ideal", help="defining-ideal catalog and verification").add_subparsers(
-        dest="ideal_command", required=True)
-    leaf(ideal_sub, "ideal list", _cmd_ideal_list, "catalog of binomial generators").add_argument(
-        "--strict-21", action="store_true", dest="strict_21",
-        help="at a=21, drop the seed-independent generators")
-    leaf(ideal_sub, "ideal verify", _cmd_ideal_verify, "dimension check plus drop-one minimality")
+    ideal_group = register(sub, "ideal", "defining-ideal catalog and verification")
+    if ideal_group is not None:
+        ideal_sub = ideal_group.add_subparsers(dest="ideal_command", required=True)
+        leaf(ideal_sub, "ideal list", _cmd_ideal_list, "catalog of binomial generators", extra=[(
+            "--strict-21", {"action": "store_true", "dest": "strict_21",
+                            "help": "at a=21, drop the seed-independent generators"})])
+        leaf(ideal_sub, "ideal verify", _cmd_ideal_verify, "dimension check plus drop-one minimality")
 
     leaf(sub, "table", _cmd_table, "Apery table rows")
     leaf(sub, "cone", _cmd_cone, "tangent-cone decomposition summary")
     leaf(sub, "hilbert", _cmd_hilbert, "Hilbert series numerator")
 
-    sweep_sub = sub.add_parser("sweep", help="conjecture sweeps over (a, d) grids").add_subparsers(
-        dest="sweep_command", required=True)
-    leaf(sweep_sub, "sweep unique", _cmd_sweep_unique, "uniqueness of Apery expansions", m=6)
-    leaf(sweep_sub, "sweep gamma6", _cmd_sweep_gamma6, "six-generator Apery formula vs oracle")
+    sweep_group = register(sub, "sweep", "conjecture sweeps over (a, d) grids")
+    if sweep_group is not None:
+        sweep_sub = sweep_group.add_subparsers(dest="sweep_command", required=True)
+        leaf(sweep_sub, "sweep unique", _cmd_sweep_unique, "uniqueness of Apery expansions", m=6)
+        leaf(sweep_sub, "sweep gamma6", _cmd_sweep_gamma6, "six-generator Apery formula vs oracle")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     seed = None
     try:
         if hasattr(args, "a"):

@@ -9,12 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apsum.cli
 import apsum.cone
 import apsum.frobenius
 from apsum import ArithmeticSeed, DomainError, order_oracle, partial_sum_generators
-from apsum.cli import _jobs, main
+from apsum.cli import _jobs, _json, build_parser, main
 from apsum.ideal import GastingerReport
 
 
@@ -253,6 +255,7 @@ def test_envelope_names_every_leaf_and_its_seed(capsys, leaf):
     envelope = json.loads(out)
     assert envelope["command"] == leaf
     assert envelope["seed"] == (None if sweep else {"a": 11, "d": 2, "m": 5})
+    assert out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
 def test_sweep_unique_defaults_to_m_6(capsys, tmp_path):
@@ -441,3 +444,64 @@ def test_order_outside_the_closed_form_uses_the_oracle(capsys, seed):
     code, out, _ = run(capsys, "order", *seed, "--value", "24")
     assert code == 0
     assert json.loads(out)["payload"] == {"element": 24, "order": 1}
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+                | st.integers(max_value=-2**64) | st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_json_renderer_writes_what_the_stdlib_writes(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+REDUMP_LEAVES = [["info"], ["apery"], ["apery", "--oracle"], ["pf"], ["frobenius"], ["order"],
+                 ["ideal", "list"], ["ideal", "list", "--strict-21"], ["ideal", "verify"],
+                 ["table"], ["cone"], ["hilbert"]]
+
+
+@pytest.mark.parametrize("a", [11, 21, 22])
+@pytest.mark.parametrize("d", [1, 2, "40a-1"])
+def test_json_output_is_the_stdlib_indent_dump(capsys, a, d):
+    d = 40 * a - 1 if d == "40a-1" else d
+    for leaf in REDUMP_LEAVES:
+        extra = ["--value", str(3 * a + d)] if leaf == ["order"] else []
+        code, out, err = run(capsys, *leaf, "--a", str(a), "--d", str(d), *extra)
+        if (a, d) == (22, 2):
+            assert (code, out, json.loads(err)["error"]) == (3, "", "notCoprime")
+            continue
+        assert code == 0, (leaf, err)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", leaf
+
+
+def parsed(capsys, parser, argv):
+    """(exit code or None, parsed namespace or None, stdout, stderr) of one parse."""
+    try:
+        code, args = None, parser.parse_args(argv)
+    except SystemExit as exc:
+        code, args = exc.code, None
+    out, err = capsys.readouterr()
+    return code, args, out, err
+
+
+HELP_PATHS = [[], ["ideal"], ["sweep"], *[leaf.split() for leaf in LEAVES]]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("argv", [
+    *[[*path, "--help"] for path in HELP_PATHS],
+    [], ["ideal"], ["sweep"], ["ideal", "nope"], ["cone", "--d", "7"],
+    ["cone", "--a", "11", "--d", "2", "--format", "table"],  # a second leaf named as a value
+])
+def test_partial_parser_parses_as_the_whole_tree(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    whole = parsed(capsys, build_parser(), argv)
+    assert parsed(capsys, build_parser(argv), argv) == whole
+    assert whole[0] is not None or whole[1].handler is apsum.cli._cmd_cone
