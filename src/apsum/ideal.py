@@ -4,13 +4,14 @@ The defining ideal of the monomial curve (t^s1, ..., t^s5) is generated by
 binomials x^u - x^v with equal weighted degree (x_i weighted by s_i).  This
 module builds the catalog of every admissible seed from one rule: for
 offsets k fixed by r = a mod 10, a power of x1 times x2^k against the
-canonical expansion of class a + k; small-a catalogs are its q = 1 case,
-with output labels p..., "extra".  It verifies a catalog by a dimension
-count: adjoin x1, pass to the quotient k[x2..x5], run Buchberger on the
-surviving monomials/binomials, and count standard monomials by a walk
-along the staircase of the leading monomials, in runs along the last
-variable.  The catalog generates the full defining ideal iff that count
-equals a, and it is minimal iff every drop-one variant fails it.
+canonical expansion of class a + k, plus a core; at a <= 18, the q = 1 case
+with output labels p..., "extra", the core binomials of class index <= a.
+It verifies a catalog by a dimension count: adjoin x1, pass to the quotient
+k[x2..x5], run Buchberger on the surviving monomials/binomials, and count
+standard monomials by a walk along the staircase of the leading monomials,
+in runs along the last variable.  The catalog generates the full defining
+ideal iff that count equals a, and it is minimal iff every drop-one variant
+fails it; the a = 21 strict variant is read off the catalog already built.
 
 The Buchberger engine works in grevlex only, on the fragment the count
 needs: monic monomials and binomials, each one pair (lead, tail).  It never
@@ -125,25 +126,6 @@ def residue_family(q: int, d: int, r: int) -> dict[str, tuple[Exponents, Exponen
     return {f"h{r}{i}": _family_entry(10 * q + r, d, k) for i, k in enumerate(offsets, 1)}
 
 
-def _has_strict_variant(a: int, d: int) -> bool:
-    """Whether the first family entry moves at a >= 19, its x1 exponent being
-    negative: only (21, 1) and (21, 2).  strict_21 drops the core there, and
-    gastinger_verify adjudicates the two variants."""
-    return a >= 19 and _family_entry(a, d, FAMILY_OFFSETS_BY_RESIDUE[a % 10][0])[0][0] < 0
-
-
-_SMALL_A_CORE = {
-    11: ("g3", "g5", "g6"),
-    12: ("g3", "g5", "g6", "g7"),
-    13: ("g3", "g4", "g5", "g6", "g7"),
-    14: ("g3", "g4", "g5", "g6", "g7"),
-    15: ("g3", "g4", "g5", "g6", "g7"),
-    16: ("g3", "g4", "g5", "g6", "g7"),
-    17: ("g3", "g4", "g5", "g6", "g7"),
-    18: ("g3", "g4", "g5", "g6", "g7"),
-}
-
-
 # The two seeds whose closing generator is not the traded first entry: the
 # canonical-expansion monomial of its class, in weight 2 * s5, stands instead.
 _CLOSING_EXCEPTIONS = {(11, 1): _e(4, 0, 1, 1), (14, 1): _e(7, 0, 0, 1)}
@@ -164,25 +146,26 @@ def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[Bin
     a <= 14 or when its x1 exponent is negative at a >= 19 (only (21, 1) and
     (21, 2)); there x2^3 is traded for x1^3 x3 until that exponent is >= 0.
     For 11 <= a <= 18 (the q = 1 case) the family entries left in place carry
-    the output names p{r}1, p{r}2, ... and are followed by a core subset; for
-    a >= 19 the full core comes first.  strict_21 drops the core where the
-    first entry moved at a >= 19: the a == 21 variant that fails the
-    dimension check, kept so the verifier can record the adjudication.
+    the output names p{r}1, p{r}2, ... and are followed by the core binomials
+    whose lhs has class index sum c_k C(k, 2) <= a; for a >= 19 the full core
+    comes first.  strict_21 drops the core where the first entry moved at
+    a >= 19: the a == 21 variant that fails the dimension check, which
+    gastinger_verify reads off the "extra" entry of this catalog.
     """
     require_closed_form(seed)
     a, d = seed.a, seed.d
     q, r = divmod(a, 10)
     family = list(residue_family(q, d, r).items())
     _, (lhs, rhs) = family[0]
-    moved = a <= 14 or _has_strict_variant(a, d)
+    moved = a <= 14 or (a >= 19 and lhs[0] < 0)
     if moved:
         family = family[1:]
+    core = sorted(CORE_GENERATORS.items())
     if a <= 18:
         items = [(f"p{r}{i}", v) for i, (_, v) in enumerate(family, 1)]
-        items += [(k, CORE_GENERATORS[k]) for k in _SMALL_A_CORE[a]]
+        items += [(k, v) for k, v in core if weighted_degree(v[0], (0, 1, 3, 6, 10)) <= a]
     else:
-        items = [] if strict_21 and moved else sorted(CORE_GENERATORS.items())
-        items += family
+        items = ([] if strict_21 and moved else core) + family
     if moved:
         items.append(("extra", (_CLOSING_EXCEPTIONS.get((a, d)) or _lift_x1(lhs), rhs)))
 
@@ -429,22 +412,19 @@ def gastinger_verify(seed: ArithmeticSeed) -> GastingerReport:
 
     The catalog passes iff the quotient dimension equals a; minimality holds
     iff every single-generator removal breaks that count (larger or
-    infinite).  Where the catalog has a strict variant, (21, 1) and (21, 2),
-    it and the core-augmented one are computed and the adjudication recorded.
+    infinite).  Where the catalog has an "extra" entry at a >= 19, (21, 1) and
+    (21, 2), its strict variant is counted too and the adjudication recorded.
     """
     a = seed.a
-    variant = adjudication = None
-    if _has_strict_variant(a, seed.d):
-        catalogs = {"strict": generator_catalog(seed, strict_21=True), "withCore": generator_catalog(seed)}
-        dims = {name: quotient_dimension(cat) for name, cat in catalogs.items()}
-        variant = "strict" if dims["strict"] == a and dims["withCore"] != a else "withCore"
-        adjudication = {**dims, "selected": variant}
-        catalog, dim = catalogs[variant], dims[variant]
-        images = _quotient_polys(catalog)
-    else:
-        catalog = generator_catalog(seed)
-        images = _quotient_polys(catalog)
-        dim = _dimension(images)
+    variants = {"withCore": generator_catalog(seed)}
+    if a >= 19 and variants["withCore"][-1].label == "extra":
+        variants = {"strict": generator_catalog(seed, strict_21=True), **variants}
+    images = {name: _quotient_polys(cat) for name, cat in variants.items()}
+    dims = {name: _dimension(im) for name, im in images.items()}
+    variant = "strict" if dims.get("strict") == a and dims["withCore"] != a else "withCore"
+    catalog, images, dim = variants[variant], images[variant], dims[variant]
     drop = {b.label: _dimension(images[:i] + images[i + 1 :]) for i, b in enumerate(catalog)}
     minimal = all(v != a for v in drop.values())
-    return GastingerReport(dim, dim == a, minimal, drop, variant, adjudication)
+    if len(variants) == 1:
+        return GastingerReport(dim, dim == a, minimal, drop)
+    return GastingerReport(dim, dim == a, minimal, drop, variant, {**dims, "selected": variant})

@@ -119,6 +119,33 @@ def test_strict_21_changes_only_the_a21_variants():
     assert differs == [(21, 1), (21, 2)]
 
 
+def test_verify_builds_a_second_catalog_only_at_the_a21_variants(monkeypatch):
+    # the verifier reads the strict variant off the catalog it has built, so
+    # every other seed builds one catalog and reports no adjudication
+    calls = []
+
+    def recording(seed, strict_21=False):
+        calls.append(strict_21)
+        return generator_catalog(seed, strict_21)
+
+    monkeypatch.setattr("apsum.ideal.generator_catalog", recording)
+    adjudicated = []
+    for a in range(11, 41):
+        for d in range(1, 11):
+            if gcd(a, d) != 1:
+                continue
+            calls.clear()
+            report = gastinger_verify(ArithmeticSeed(a, d))
+            assert calls.count(False) == 1, (a, d)
+            if True in calls:
+                adjudicated.append((a, d))
+                assert report.variant == "withCore"
+                assert list(report.adjudication) == ["strict", "withCore", "selected"]
+            else:
+                assert report.variant is None and report.adjudication is None, (a, d)
+    assert adjudicated == [(21, 1), (21, 2)]
+
+
 def test_h11_degenerates_at_excluded_seeds():
     lhs, _ = residue_family(2, 1, 1)["h11"]  # a = 21, d = 1
     assert min(lhs) < 0  # 5q + d - 13 = -2: why (21, 1) is dispatched specially
