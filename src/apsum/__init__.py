@@ -42,7 +42,6 @@ from .ideal import (
     generator_catalog,
     homogeneity_check,
     quotient_basis,
-    quotient_dimension,
     standard_monomial_count,
     standard_monomials,
 )

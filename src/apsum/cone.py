@@ -8,14 +8,15 @@ order of its Apery class and then climbs by a, guard row included.
 layered DP M^s = gens + M^(s-1) in O(m * a), refusing a non-free cone; the
 O(a^2 / 10) rows are built only where they are read.  ``cone_decomposition``
 is the one result per seed: its shifts are the class orders, whose
-histogram, checked against the closed form, is the Hilbert numerator
-(``t_counts``); ``ring_properties`` and ``cone_to_json`` are views of it.
+histogram is the Hilbert numerator (``t_counts``), checked against the
+class-order rule; ``ring_properties`` and ``cone_to_json`` are views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
@@ -90,26 +91,25 @@ def _histogram(orders) -> list[int]:
 
 
 def order_histogram_closed(a: int) -> list[int]:
-    """Closed-form t_k from the residue of a mod 10, trailing zeros stripped."""
-    q, r = divmod(a, 10)
-    out = {0: 1, 1: 4}
-    near_top = {0: 5, 1: 5, 2: 6, 3: 7, 4: 8, 5: 8, 6: 8, 7: 9, 8: 9, 9: 9}
-    at_top = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 2, 7: 2, 8: 3, 9: 4}
-    for k in range(2, q + 3):
-        if k < q:
-            base = 10
-        elif k == q:
-            base = 10 if r > 0 else 9
-        elif k == q + 1:
-            base = near_top[r]
-        else:
-            base = at_top[r]
-        # small orders lose/gain classes where the top triangular digit can vanish
-        out[k] = base + {2: -1, 3: 2}.get(k, 0)
-    ks = sorted(out)
-    while ks and out[ks[-1]] == 0:
-        out.pop(ks.pop())
-    return [out[k] for k in ks]
+    """Closed-form t_k: the classes 0 <= n < a counted by their order.
+
+    Class r <= 9 has order o_r = r % 3 + r % 6 // 3 + r // 6, the sum of its
+    greedy digits.  By the order rule in ``canonical_expansion`` class
+    10j + r, j >= 1, has order o_r + j, less one where r % 3 == 2: there the
+    rewrite (c2 == 2, c5 > 0) trades three generators for two.  So each
+    residue is one class and one run of consecutive orders, counted by their
+    edges in O(a / 10).  It reads no record, so it checks the records' orders.
+    """
+    edges = [0] * (a // 10 + 5)
+    for r in range(min(a, 10)):
+        o, rewrite = r % 3 + r % 6 // 3 + r // 6, r % 3 == 2
+        for lo, hi in ((o, o + 1), (o + 1 - rewrite, o + 1 - rewrite + (a - 1 - r) // 10)):
+            edges[lo] += 1
+            edges[hi] -= 1
+    counts = list(accumulate(edges))
+    while not counts[-1]:
+        counts.pop()
+    return counts
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class ConeDecomposition:
 
 def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
     """Build the table once (``apery_table`` refuses a non-free cone) and
-    check the t_k counted from its certified orders against the closed form.
+    check the t_k of its certified orders against the class-order rule.
     """
     table = apery_table(seed)
     direct = _histogram(table.orders)
@@ -144,7 +144,7 @@ def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
     if direct != closed:
         raise VerificationError(
             "tCountMismatch",
-            f"direct orders {direct} != closed form {closed} at (a, d) = ({seed.a}, {seed.d})",
+            f"orders of the records {direct} != class-order rule {closed} at (a, d) = ({seed.a}, {seed.d})",
         )
     return ConeDecomposition(seed, table, tuple(direct), tuple(sorted(table.orders)),
                              reduction_formula=seed.a // 10 + 1, reduction_computed=table.top)

@@ -72,7 +72,11 @@ def canonical_expansion(n: int) -> tuple[int, int, int, int]:
     Generic expansions are ``triangular_digits(n, 5)``; when c2 == 2 and
     c5 > 0 the rewritten form (0, c3, c4 + 2, c5 - 1) trades two degree-2
     generators and one degree-5 generator for two degree-4 ones, which lowers
-    the degree (the multiplier of a) by one.
+    the degree (the multiplier of a) by one, and the order by one.
+
+    The order rule: for n >= 10, class n + 10 adds one generator 5 to class
+    n.  Its greedy digits are those of n with c5 one larger, and both have
+    c5 > 0, so the rewrite applies to both or to neither.
     """
     c2, c3, c4, c5 = triangular_digits(n, 5)
     if c2 == 2 and c5 > 0:

@@ -34,10 +34,10 @@ def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
     g_k = k*a + C(k, 2)*d for k = 2..5, is again an Apery element.  w_n + g_k
     lies in class (n + C(k, 2)) mod a, so it is one exactly when it equals
     that class's value (class 0 holds 0).  Only the window
-    {1..9} | {a-10..a-1} can hold maximal classes: for 10 <= n < a - 10 the
-    canonical expansion of n + 10 is that of n plus one degree-5 generator
-    (both have a 10-digit, so the rewrite applies to both or neither), so
-    w_(n+10) = w_n + g_5.  About 30 class values, O(1) in a.
+    {1..9} | {a-10..a-1} can hold maximal classes: for 10 <= n < a - 10,
+    class n + 10 adds one generator 5 to class n (the order rule in
+    ``canonical_expansion``), so w_(n+10) = w_n + g_5.  About 30 class
+    values, O(1) in a.
     """
     require_closed_form(seed)
     a, d = seed.a, seed.d

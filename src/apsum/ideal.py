@@ -143,8 +143,9 @@ def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[Bin
     Every a >= 11 uses residue_family(a // 10, d, a % 10), one binomial per
     offset k: x1^i x2^k against the canonical expansion of class a + k.  Its
     first entry, the x5^(q+1) generator, moves to the end as "extra" when
-    a <= 14 or when its x1 exponent is negative at a >= 19 (only (21, 1) and
-    (21, 2)); there x2^3 is traded for x1^3 x3 until that exponent is >= 0.
+    a <= 14 or when its x1 exponent is negative, which at a >= 15 happens
+    only at (21, 1) and (21, 2) (at q = 1 the exponent is d - 10 + 2r, >= d
+    for r >= 5); there x2^3 is traded for x1^3 x3 until it is >= 0.
     For 11 <= a <= 18 (the q = 1 case) the family entries left in place carry
     the output names p{r}1, p{r}2, ... and are followed by the core binomials
     whose lhs has class index sum c_k C(k, 2) <= a; for a >= 19 the full core
@@ -157,7 +158,7 @@ def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[Bin
     q, r = divmod(a, 10)
     family = list(residue_family(q, d, r).items())
     _, (lhs, rhs) = family[0]
-    moved = a <= 14 or (a >= 19 and lhs[0] < 0)
+    moved = a <= 14 or lhs[0] < 0
     if moved:
         family = family[1:]
     core = sorted(CORE_GENERATORS.items())
@@ -388,11 +389,6 @@ def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | No
     the Apery set through the weighted degree.
     """
     return standard_monomials(_leading_monomials(_quotient_polys(catalog)), 4)
-
-
-def quotient_dimension(catalog: Iterable[BinomialGenerator]):
-    """dim_k of k[x1..x5] / (catalog + (x1)): standard monomial count in x2..x5."""
-    return _dimension(_quotient_polys(catalog))
 
 
 @dataclass(frozen=True)

@@ -505,3 +505,55 @@ def test_partial_parser_parses_as_the_whole_tree(capsys, monkeypatch, columns, a
     whole = parsed(capsys, build_parser(), argv)
     assert parsed(capsys, build_parser(argv), argv) == whole
     assert whole[0] is not None or whole[1].handler is apsum.cli._cmd_cone
+
+
+def readme_examples():
+    """argv -> comment of each ``apsum ...  # comment`` line in README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return dict(tuple(part.strip() for part in line[len("apsum "):].split("#", 1))
+                for line in block.splitlines() if line.startswith("apsum ") and "#" in line)
+
+
+def _payload(out):
+    return json.loads(out)["payload"]
+
+
+COUNT_WORDS = {8: "eight", 9: "nine"}
+
+
+def _verify_comment(out):
+    p = _payload(out)
+    return f"dimension {p['dimension']}, {'pass' if p['pass'] else 'fail'}, {'' if p['minimal'] else 'not '}minimal"
+
+
+def _csv_comment(out):
+    rows = out.splitlines()
+    return f"{len(rows)} x {len(rows[0].split(','))} Apery table"
+
+
+# each README example whose comment states its result, and that comment
+# written from the example's output
+README_RESULTS = {
+    "apery --a 11 --d 2 --format table": str.strip,
+    "frobenius --a 23 --d 1": lambda out: str(_payload(out)["frobenius"]),
+    "pf --a 23 --d 1": lambda out: f"{COUNT_WORDS[len(_payload(out)['pf'])]} pseudo-Frobenius numbers",
+    "order --a 11 --d 2 --value 104": lambda out: f"{_payload(out)['order']} (from one Apery record)",
+    "ideal list --a 11 --d 2": lambda out: f"{COUNT_WORDS[len(_payload(out))]} binomial generators",
+    "ideal verify --a 23 --d 1": _verify_comment,
+    "table --a 11 --d 2 --format csv": _csv_comment,
+    "hilbert --a 23 --d 1": lambda out: "numerator {numerator} over ({denominator})".format(**_payload(out)),
+}
+# comments that describe an example rather than state its result
+README_DESCRIBED = {"apery --a 11 --d 2 --oracle", "cone --a 11 --d 2"}
+
+
+def test_readme_examples_are_all_accounted_for():
+    assert set(readme_examples()) == set(README_RESULTS) | README_DESCRIBED
+
+
+@pytest.mark.parametrize("argv", README_RESULTS)
+def test_readme_example_prints_its_comment(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert README_RESULTS[argv](out) == readme_examples()[argv]

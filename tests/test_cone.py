@@ -18,6 +18,7 @@ from apsum import (
     VerificationError,
     apery_records,
     apery_table,
+    canonical_expansion,
     cone_decomposition,
     cone_to_json,
     order_histogram_closed,
@@ -192,6 +193,18 @@ def test_order_histograms():
     assert order_histogram_closed(11) == [1, 4, 4, 2]
     assert order_histogram_closed(23) == [1, 4, 9, 9]
     assert order_histogram_closed(20) == [1, 4, 8, 7]
+
+
+def test_closed_histogram_counts_the_canonical_orders():
+    # the histogram of the canonical expansions' orders over n < a, grown one
+    # class at a time, at every a in 11..3000
+    counts, top = [0] * 3000, 0
+    for n in range(3000):
+        order = sum(canonical_expansion(n))
+        counts[order] += 1
+        top = max(top, order)
+        if n >= 10:
+            assert order_histogram_closed(n + 1) == counts[:top + 1], n + 1
 
 
 def test_cone_decomposition_11_2():

@@ -22,15 +22,19 @@ from apsum import (
     membership,
     partial_sum_generators,
     quotient_basis,
-    quotient_dimension,
     standard_monomial_count,
     standard_monomials,
 )
-from apsum.ideal import _quotient_polys, binomial, grevlex_key, reduce_poly, residue_family
+from apsum.ideal import _dimension, _quotient_polys, binomial, grevlex_key, reduce_poly, residue_family
 
 
 def labels(catalog):
     return [b.label for b in catalog]
+
+
+def quotient_dimension(catalog):
+    """dim_k of k[x1..x5] / (catalog + (x1)): standard monomial count in x2..x5."""
+    return _dimension(_quotient_polys(catalog))
 
 
 def test_catalog_23_1():
@@ -144,6 +148,17 @@ def test_verify_builds_a_second_catalog_only_at_the_a21_variants(monkeypatch):
             else:
                 assert report.variant is None and report.adjudication is None, (a, d)
     assert adjudicated == [(21, 1), (21, 2)]
+
+
+def test_first_entry_stays_in_place_at_15_to_18():
+    # at q = 1 the first entry's x1 exponent is d - 10 + 2r, >= d for r >= 5,
+    # so it is never negative there and only a <= 14 moves the entry
+    for a in range(15, 19):
+        for d in range(1, 120):
+            if gcd(a, d) == 1:
+                lhs, _ = next(iter(residue_family(1, d, a - 10).values()))
+                assert lhs[0] >= d, (a, d)
+                assert "extra" not in labels(generator_catalog(ArithmeticSeed(a, d))), (a, d)
 
 
 def test_h11_degenerates_at_excluded_seeds():
