@@ -139,23 +139,37 @@ def require_closed_form(seed: ArithmeticSeed) -> None:
         raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
 
 
+def _new_record(n, multiplier, value, gap, order, expansion) -> AperyRecord:
+    # fills the dict in field order: the frozen __init__ pays a setattr per field
+    rec = object.__new__(AperyRecord)
+    rec.__dict__.update(n=n, multiplier=multiplier, value=value, gap=gap, order=order, expansion=expansion)
+    return rec
+
+
 def _record(a: int, d: int, n: int) -> AperyRecord:
     # one class expanded once; multiplier, value, gap and order read off it
     exp = canonical_expansion(n)
     mult = _degree(exp)
     value = mult * a + n * d
-    return AperyRecord(n, mult, value, value - a, sum(exp), exp)
+    return _new_record(n, mult, value, value - a, sum(exp), exp)
 
 
 def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     """Closed-form Apery set of the five-generator semigroup, classes 1..a-1.
 
-    Fails loudly outside ``require_closed_form``.
+    Classes 1..19 are expanded; by ``canonical_expansion``'s order rule each class
+    n >= 20 is class n - 10 plus generator 5 (multiplier + 5, value and gap + 5a + 10d,
+    order and c5 + 1), so the cost is O(a).  Fails loudly outside ``require_closed_form``.
     """
     require_closed_form(seed)
-    records = [None] * (seed.a - 1)  # sized first, so an a too large to list fails here, not mid-loop
-    for n in range(1, seed.a):
-        records[n - 1] = _record(seed.a, seed.d, n)
+    a, g5 = seed.a, 5 * seed.a + 10 * seed.d
+    records = [None] * (a - 1)  # sized first, so an a too large to list fails here, not mid-loop
+    for n in range(1, min(a, 20)):
+        records[n - 1] = _record(a, seed.d, n)
+    for n in range(20, a):
+        p = records[n - 11]
+        c2, c3, c4, c5 = p.expansion
+        records[n - 1] = _new_record(n, p.multiplier + 5, p.value + g5, p.gap + g5, p.order + 1, (c2, c3, c4, c5 + 1))
     return records
 
 

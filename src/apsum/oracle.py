@@ -149,16 +149,15 @@ def pseudo_frobenius_oracle(gens) -> tuple[int, ...]:
     multiplicity, that are maximal under w <= w' iff w' - w is in S
     (Rosales and Garcia-Sanchez, *Numerical Semigroups*, Springer 2009,
     ch. 2).  Since Ap(S, a) is closed under S-divisors, w is maximal iff
-    w + g lies outside it for every generator g != a, so the test costs
-    O(m) per element.
+    w + g lies outside it for every generator g != a: w is maximal iff it
+    is outside the set {w' - g : w' in Ap(S, a), g != a}, built once in
+    O(m * a).
     """
     g = validate_generators(gens)
     a = g[0]
     ap = apery_oracle(g, a)
-    return tuple(sorted(
-        w - a for w in ap
-        if all(ap[(w + x) % a] != w + x for x in g[1:])
-    ))
+    not_maximal = {w - x for x in g[1:] for w in ap}
+    return tuple(sorted(w - a for w in ap if w not in not_maximal))
 
 
 def is_minimal_generating(gens) -> bool:

@@ -1,5 +1,6 @@
 """Closed forms for the five-generator family, and the conjectural dim-6 data."""
 
+from dataclasses import FrozenInstanceError, fields, replace
 from functools import cache, reduce
 from itertools import count
 from math import gcd
@@ -27,7 +28,14 @@ from apsum import (
     partial_sum_generators,
     uniqueness_check,
 )
-from apsum.family import UniquenessReport, UniquenessViolation, least_degrees, triangular_digits
+from apsum.family import (
+    AperyRecord,
+    UniquenessReport,
+    UniquenessViolation,
+    _record,
+    least_degrees,
+    triangular_digits,
+)
 from apsum.oracle import orders_up_to, representation_counts, representations, validate_generators
 
 
@@ -172,6 +180,37 @@ def test_apery_records_below_threshold():
     with pytest.raises(DomainError) as err:
         apery_records(ArithmeticSeed(10, 3))
     assert err.value.code == "belowMinimalityThreshold"
+
+
+def test_apery_records_follow_the_order_rule_class_for_class():
+    # classes >= 20 are built by the order rule from class n - 10; each must
+    # equal its direct expansion in every field, in field order and in hash
+    names = tuple(f.name for f in fields(AperyRecord))
+    seeds = [(a, d) for a in range(11, 401) for d in (1, 7, 40 * a - 1) if gcd(a, d) == 1]
+    seeds += [(a, 7) for a in (999, 1000, 3001)]
+    for a, d in seeds:
+        got = apery_records(ArithmeticSeed(a, d))
+        expected = [_record(a, d, n) for n in range(1, a)]
+        assert got == expected, (a, d)
+        assert set(map(tuple, map(vars, got))) == {names}, (a, d)
+        assert list(map(hash, got)) == list(map(hash, expected)), (a, d)
+
+
+@pytest.mark.parametrize("n", [1, 12, 19, 20, 22, 332])
+def test_apery_record_keeps_frozen_dataclass_semantics(n):
+    # classes below 20 come from _record, the others from the order-rule step
+    rec = apery_records(ArithmeticSeed(347, 7))[n - 1]
+    plain = AperyRecord(**vars(rec))
+    assert list(vars(rec)) == [f.name for f in fields(AperyRecord)]
+    assert rec == plain and hash(rec) == hash(plain) and repr(rec) == repr(plain)
+    with pytest.raises(FrozenInstanceError):
+        rec.value = 0
+    with pytest.raises(FrozenInstanceError):
+        del rec.order
+    moved = replace(rec, value=rec.value + 1)
+    assert type(moved) is AperyRecord and moved != rec
+    assert vars(moved) == {**vars(rec), "value": rec.value + 1}
+    assert replace(moved, value=rec.value) == rec
 
 
 def test_expansion_value_and_order_identities():

@@ -250,6 +250,39 @@ def test_pseudo_frobenius_oracle_matches_sieve_on_random_generators(case):
     assert pseudo_frobenius_oracle(gens) == sieve_pseudo_frobenius(gens)
 
 
+def per_element_pseudo_frobenius(gens):
+    """The maximality rule tested one Apery element at a time: w is kept when
+    w + x is no class's Apery entry for every generator x past the first."""
+    g = validate_generators(gens)
+    a = g[0]
+    ap = apery_oracle(g, a)
+    return tuple(sorted(w - a for w in ap if all(ap[(w + x) % a] != w + x for x in g[1:])))
+
+
+@st.composite
+def two_to_seven_generators(draw):
+    """2-7 strictly increasing gcd-1 generators, any values, not only partial sums."""
+    gens = draw(st.sets(st.integers(2, 90), min_size=2, max_size=7))
+    if reduce(gcd, gens) != 1:
+        gens = set(sorted(gens)[:6]) | {draw(st.sampled_from((89, 97, 101)))}
+    return tuple(sorted(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_to_seven_generators())
+def test_pseudo_frobenius_set_form_matches_per_element_rule(gens):
+    assert pseudo_frobenius_oracle(gens) == per_element_pseudo_frobenius(gens)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_pseudo_frobenius_set_form_matches_per_element_rule_on_the_family(m):
+    for a in range(2, 120):
+        for d in (1, 2, 3, 7, 40 * a - 1):
+            if gcd(a, d) == 1:
+                gens = partial_sum_generators(ArithmeticSeed(a, d, m))
+                assert pseudo_frobenius_oracle(gens) == per_element_pseudo_frobenius(gens), (m, a, d)
+
+
 SIEVE_CASES = [
     # partial sums with a base that is a member but not the multiplicity
     (GENS_11_2, GENS_11_2[1]),
