@@ -23,7 +23,6 @@ from .family import (
     UniquenessReport,
     apery_records,
     apery_set_closed,
-    apery_set_conjectured6,
     canonical_expansion,
     element_order,
     minimality_check,

@@ -323,17 +323,16 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=None,
                            help="worker processes, at most the cpu count (default: cpu count)")
             p.add_argument("--checkpoint", default=None, help="append-only JSONL checkpoint path")
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--out", default=None,
-                       help=None if sweep else "write output to a file instead of stdout")
+        p.add_argument("--format", choices=("json", "csv", "table"), default="json",
+                       help="output format (default: json)")
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         for flag, kwargs in extra:
             p.add_argument(flag, **kwargs)
 
-    oracle = ("--oracle", {"action": "store_true"})
+    oracle = ("--oracle", {"action": "store_true",
+                           "help": "use the brute-force oracle instead of the closed form"})
     leaf(sub, "info", _cmd_info, "generators and basic invariants", m=5)
-    leaf(sub, "apery", _cmd_apery, "Apery set (closed form, or --oracle)", m=5, extra=[(
-        "--oracle", {"action": "store_true",
-                     "help": "use the brute-force oracle instead of the closed form"})])
+    leaf(sub, "apery", _cmd_apery, "Apery set (closed form, or --oracle)", m=5, extra=[oracle])
     leaf(sub, "frobenius", _cmd_frobenius, "Frobenius number", m=5, extra=[oracle])
     leaf(sub, "pf", _cmd_pf, "pseudo-Frobenius numbers and type", m=5, extra=[oracle])
     leaf(sub, "order", _cmd_order, "order of an element (max generator count)", m=5, extra=[(

@@ -12,8 +12,8 @@ Apery set with respect to a admits a closed form: over the digits 10, 6, 3, 1
 multiple of a plus n*d, and the digits are its canonical expansion over the
 non-multiplicity generators.  The six-generator analogue takes for class n
 the least degree of an expansion of n over 1, 3, 6, 10, 15
-(``least_degrees``) and is conjectural; it is exposed here for the sweep
-harness, never asserted.
+(``least_degrees``) times a, plus n*d.  It is conjectural: the gamma6 sweep
+verdict reads it and compares it with the oracle, and nothing asserts it.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def uniqueness_check(gens, c: int) -> UniquenessReport:
 
 
 # ----------------------------------------------------------------------
-# six-generator conjectural formula
+# six-generator conjectural formula, read by the gamma6 sweep verdict
 # ----------------------------------------------------------------------
 
 def least_degrees(m: int, top: int) -> list[int]:
@@ -261,14 +261,3 @@ def least_degrees(m: int, top: int) -> list[int]:
             least[n] = min(least[n], least[n - coin] + k)
     return least
 
-
-def apery_set_conjectured6(seed: ArithmeticSeed) -> list[int]:
-    """Conjectured six-generator Apery values indexed by n (entry 0 is 0).
-
-    Entry n is the conjectured least member of the class of n*d mod a.  The
-    formula is unproven; the sweep harness compares it against the oracle and
-    records verdicts without asserting them.
-    """
-    if seed.m != 6:
-        raise DomainError("closedFormUnavailable", f"conjectured set needs m == 6, got m == {seed.m}")
-    return [degree * seed.a + n * seed.d for n, degree in enumerate(least_degrees(6, seed.a - 1))]

@@ -4,8 +4,8 @@ The defining ideal of the monomial curve (t^s1, ..., t^s5) is generated by
 binomials x^u - x^v with equal weighted degree (x_i weighted by s_i).  This
 module builds the catalog of every admissible seed from one rule: for
 offsets k fixed by r = a mod 10, a power of x1 times x2^k against the
-canonical expansion of class a + k, plus a core; at a <= 18, the q = 1 case
-with output labels p..., "extra", the core binomials of class index <= a.
+canonical expansion of class a + k, plus a core; at a <= 18, with output
+labels p..., "extra", the core binomials of class index <= a.
 It verifies a catalog by a dimension count: adjoin x1, pass to the quotient
 k[x2..x5], run Buchberger on the surviving monomials/binomials, and count
 standard monomials by a walk along the staircase of the leading monomials,
@@ -110,20 +110,18 @@ def _family_entry(a: int, d: int, k: int) -> tuple[Exponents, Exponents]:
     return _e(_degree(exp) + d - 2 * k, k), _e(0, *exp)
 
 
-def residue_family(q: int, d: int, r: int) -> dict[str, tuple[Exponents, Exponents]]:
-    """The residue-dependent generators for a = 10q + r, every a >= 11.
+def residue_family(a: int, d: int) -> dict[str, tuple[Exponents, Exponents]]:
+    """The residue-dependent generators for a >= 11, with r = a mod 10.
 
     Entry h{r}{i}, for the i-th offset k of FAMILY_OFFSETS_BY_RESIDUE[r] and
     class n = a + k, is x1^(deg(n) + d - 2k) x2^k - x^canonical_expansion(n),
     deg the (2, 3, 4, 5)-weighted degree; both sides weigh (deg(n) + d) a + n d.
-    q = 1 gives the small-a catalogs.  The first entry, the x5^(q+1) power,
-    can have a negative x1 exponent; generator_catalog trades it up where the
-    catalog needs it and reports any exponent still negative.
+    11 <= a <= 19 gives the small-a catalogs.  The first entry, the
+    x5^(a // 10 + 1) power, can have a negative x1 exponent; generator_catalog
+    trades it up where the catalog needs it and reports any exponent still negative.
     """
-    offsets = FAMILY_OFFSETS_BY_RESIDUE.get(r)
-    if offsets is None:
-        raise DomainError("invalidSeed", f"residue {r} out of range")
-    return {f"h{r}{i}": _family_entry(10 * q + r, d, k) for i, k in enumerate(offsets, 1)}
+    r = a % 10
+    return {f"h{r}{i}": _family_entry(a, d, k) for i, k in enumerate(FAMILY_OFFSETS_BY_RESIDUE[r], 1)}
 
 
 # The two seeds whose closing generator is not the traded first entry: the
@@ -140,13 +138,13 @@ def _lift_x1(lhs: Exponents) -> Exponents:
 def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[BinomialGenerator]:
     """Minimal generating set of the defining ideal for the seed.
 
-    Every a >= 11 uses residue_family(a // 10, d, a % 10), one binomial per
-    offset k: x1^i x2^k against the canonical expansion of class a + k.  Its
-    first entry, the x5^(q+1) generator, moves to the end as "extra" when
-    a <= 14 or when its x1 exponent is negative, which at a >= 15 happens
-    only at (21, 1) and (21, 2) (at q = 1 the exponent is d - 10 + 2r, >= d
-    for r >= 5); there x2^3 is traded for x1^3 x3 until it is >= 0.
-    For 11 <= a <= 18 (the q = 1 case) the family entries left in place carry
+    Every a >= 11 uses residue_family(a, d), one binomial per offset k:
+    x1^i x2^k against the canonical expansion of class a + k, with r = a mod 10.
+    Its first entry, the x5^(a // 10 + 1) generator, moves to the end as
+    "extra" when a <= 14 or when its x1 exponent is negative, which at a >= 15
+    happens only at (21, 1) and (21, 2) (for 11 <= a <= 19 the exponent is
+    d - 10 + 2r, >= d for r >= 5); there x2^3 is traded for x1^3 x3 until it
+    is >= 0.  For 11 <= a <= 18 the family entries left in place carry
     the output names p{r}1, p{r}2, ... and are followed by the core binomials
     whose lhs has class index sum c_k C(k, 2) <= a; for a >= 19 the full core
     comes first.  strict_21 drops the core where the first entry moved at
@@ -155,8 +153,8 @@ def generator_catalog(seed: ArithmeticSeed, strict_21: bool = False) -> list[Bin
     """
     require_closed_form(seed)
     a, d = seed.a, seed.d
-    q, r = divmod(a, 10)
-    family = list(residue_family(q, d, r).items())
+    r = a % 10
+    family = list(residue_family(a, d).items())
     _, (lhs, rhs) = family[0]
     moved = a <= 14 or lhs[0] < 0
     if moved:

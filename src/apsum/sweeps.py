@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DomainError
-from .family import (ArithmeticSeed, apery_set_conjectured6, minimality_check, partial_sum_generators,
-                     uniqueness_check)
+from .family import ArithmeticSeed, least_degrees, minimality_check, partial_sum_generators, uniqueness_check
 from .oracle import apery_oracle
 
 MAX_WITNESS_ITEMS = 8  # keep checkpoint lines readable
@@ -59,7 +58,8 @@ def _gamma6_verdict(seed: ArithmeticSeed) -> tuple[str, dict | None]:
     if not minimality_check(seed):
         return "skip", {"reason": "notMinimal"}
     a, d = seed.a, seed.d
-    conjectured = apery_set_conjectured6(seed)
+    # the conjectured least member of class n: L_6(n) * a + n * d
+    conjectured = [degree * a + n * d for n, degree in enumerate(least_degrees(6, a - 1))]
     oracle = apery_oracle(partial_sum_generators(seed), a)
     mismatches = [
         {"n": n, "conjectured": conjectured[n], "oracle": oracle[n * d % a]}

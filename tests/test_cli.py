@@ -289,6 +289,22 @@ def test_help_exits_zero_on_every_leaf(capsys, leaf):
     assert capsys.readouterr().out.startswith(f"usage: apsum {leaf} ")
 
 
+def leaf_parsers(parser, path=()):
+    """(leaf name, parser) for every leaf under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(" ".join(path), parser)]
+    return [leaf for word, p in subs[0].choices.items() for leaf in leaf_parsers(p, (*path, word))]
+
+
+def test_every_leaf_option_has_help():
+    leaves = leaf_parsers(build_parser())
+    assert sorted(name for name, _ in leaves) == sorted(LEAVES)
+    bare = [(name, a.option_strings[0]) for name, p in leaves for a in p._actions
+            if a.option_strings and a.option_strings != ["-h", "--help"] and not a.help]
+    assert bare == []
+
+
 @pytest.mark.parametrize("a_range,d_range", [("20:16", "1:2"), ("16:20", "8:1"), ("x:20", "1:2")])
 def test_sweep_bad_range_is_usage_error(capsys, a_range, d_range):
     code, out, err = run(capsys, "sweep", "gamma6", "--a-range", a_range, "--d-range", d_range,

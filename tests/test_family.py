@@ -18,7 +18,6 @@ from apsum import (
     apery_oracle,
     apery_records,
     apery_set_closed,
-    apery_set_conjectured6,
     canonical_expansion,
     element_order,
     is_minimal_generating,
@@ -418,8 +417,3 @@ def test_multiplier6_values_are_representable():
     for n in (1, 12, 16):
         value = least6[n] * seed.a + n * seed.d
         assert membership(value, gens)
-
-
-def test_conjectured6_requires_m6():
-    with pytest.raises(DomainError):
-        apery_set_conjectured6(ArithmeticSeed(17, 2, 5))

@@ -52,16 +52,17 @@ def test_uniqueness_sweep_records_dim7_violation():
 
 
 def test_gamma6_mismatch_is_recorded_with_its_witness(monkeypatch):
-    # no swept grid yields a mismatch, so shift 10 conjectured entries by a
-    real = apsum.sweeps.apery_set_conjectured6
+    # no swept grid yields a mismatch, so one more degree at n = 1..10 makes
+    # 10 conjectured values larger by a
+    real = apsum.sweeps.least_degrees
 
-    def shifted(seed):
-        values = list(real(seed))
+    def shifted(m, top):
+        least = real(m, top)
         for n in range(1, 11):
-            values[n] += seed.a
-        return values
+            least[n] += 1
+        return least
 
-    monkeypatch.setattr(apsum.sweeps, "apery_set_conjectured6", shifted)
+    monkeypatch.setattr(apsum.sweeps, "least_degrees", shifted)
     report = sweep_gamma6((17, 17), (1, 1))
     (record,) = report.records
     assert record["verdict"] == "mismatch"
