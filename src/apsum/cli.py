@@ -179,7 +179,7 @@ def _cmd_apery(seed, args):
         payload = {"byResidue": values, "set": sorted(values)}
         return payload, EXIT_OK, {"table": lambda: _joined(payload["set"])}
     records = apery_records(seed)
-    payload = [{**vars(r), "expansion": list(r.expansion)} for r in records]
+    payload = [{**r._asdict(), "expansion": list(r.expansion)} for r in records]
     return payload, EXIT_OK, {"table": lambda: _joined(sorted([0] + [r.value for r in records]))}
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import count
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DomainError
 from .oracle import apery_oracle, validate_generators
@@ -89,9 +90,10 @@ def _degree(expansion: tuple[int, ...]) -> int:
     return sum(map(mul, expansion, count(2)))
 
 
-@dataclass(frozen=True)
-class AperyRecord:
-    """One Apery class of the five-generator semigroup."""
+class AperyRecord(NamedTuple):
+    """One Apery class of the five-generator semigroup, as an immutable tuple:
+    ``_replace`` and ``_asdict`` stand in for ``dataclasses.replace`` and
+    ``vars``, and setting or deleting a field raises ``AttributeError``."""
 
     n: int
     multiplier: int
@@ -139,19 +141,12 @@ def require_closed_form(seed: ArithmeticSeed) -> None:
         raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
 
 
-def _new_record(n, multiplier, value, gap, order, expansion) -> AperyRecord:
-    # fills the dict in field order: the frozen __init__ pays a setattr per field
-    rec = object.__new__(AperyRecord)
-    rec.__dict__.update(n=n, multiplier=multiplier, value=value, gap=gap, order=order, expansion=expansion)
-    return rec
-
-
 def _record(a: int, d: int, n: int) -> AperyRecord:
     # one class expanded once; multiplier, value, gap and order read off it
     exp = canonical_expansion(n)
     mult = _degree(exp)
     value = mult * a + n * d
-    return _new_record(n, mult, value, value - a, sum(exp), exp)
+    return AperyRecord(n, mult, value, value - a, sum(exp), exp)
 
 
 def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
@@ -162,14 +157,14 @@ def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     order and c5 + 1), so the cost is O(a).  Fails loudly outside ``require_closed_form``.
     """
     require_closed_form(seed)
-    a, g5 = seed.a, 5 * seed.a + 10 * seed.d
+    a, g5 = seed.a, partial_sum_generators(seed)[4]
     records = [None] * (a - 1)  # sized first, so an a too large to list fails here, not mid-loop
     for n in range(1, min(a, 20)):
         records[n - 1] = _record(a, seed.d, n)
     for n in range(20, a):
         p = records[n - 11]
         c2, c3, c4, c5 = p.expansion
-        records[n - 1] = _new_record(n, p.multiplier + 5, p.value + g5, p.gap + g5, p.order + 1, (c2, c3, c4, c5 + 1))
+        records[n - 1] = AperyRecord(n, p.multiplier + 5, p.value + g5, p.gap + g5, p.order + 1, (c2, c3, c4, c5 + 1))
     return records
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import ArithmeticSeed, _degree, canonical_expansion, require_closed_form
+from .family import ArithmeticSeed, _degree, canonical_expansion, partial_sum_generators, require_closed_form
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
     """
     require_closed_form(seed)
     a, d = seed.a, seed.d
-    steps = [(k * a + k * (k - 1) // 2 * d, k * (k - 1) // 2) for k in range(2, 6)]
+    steps = [(g, k * (k - 1) // 2) for k, g in enumerate(partial_sum_generators(seed)[1:], 2)]
     window = {*range(1, 10), *range(a - 10, a)}
     value = {n: _degree(canonical_expansion(n)) * a + n * d
              for n in window | {(n + c) % a for n in window for _, c in steps}}

@@ -11,7 +11,7 @@ k[x2..x5], run Buchberger on the surviving monomials/binomials, and count
 standard monomials by a walk along the staircase of the leading monomials,
 in runs along the last variable.  The catalog generates the full defining
 ideal iff that count equals a, and it is minimal iff every drop-one variant
-fails it; the a = 21 strict variant is read off the catalog already built.
+fails it; at a = 21 a second catalog call builds the strict variant.
 
 The Buchberger engine works in grevlex only, on the fragment the count
 needs: monic monomials and binomials, each one pair (lead, tail).  It never

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import apsum.cli
 import apsum.cone
 import apsum.frobenius
-from apsum import ArithmeticSeed, DomainError, order_oracle, partial_sum_generators
+from apsum import ArithmeticSeed, DomainError, order_oracle, partial_sum_generators, strip_timing
 from apsum.cli import _jobs, _json, build_parser, main
 from apsum.ideal import GastingerReport
 
@@ -305,7 +305,21 @@ def test_every_leaf_option_has_help():
     assert bare == []
 
 
-@pytest.mark.parametrize("a_range,d_range", [("20:16", "1:2"), ("16:20", "8:1"), ("x:20", "1:2")])
+@pytest.mark.parametrize("a_range, colon_form, seeds", [("16..17", "16:17", 2), ("16", "16:16", 1)])
+def test_sweep_range_forms_name_the_same_grid(capsys, a_range, colon_form, seeds):
+    # _parse_range reads LO..HI and a single value as well as LO:HI
+    payloads = []
+    for text in (a_range, colon_form):
+        code, out, _ = run(capsys, "sweep", "gamma6", "--a-range", text, "--d-range", "1:1", "--jobs", "1")
+        assert code == 0
+        payloads.append(json.loads(out)["payload"])
+    got, want = payloads
+    assert got["grid"] == want["grid"]
+    assert strip_timing(got["records"]) == strip_timing(want["records"])
+    assert len(got["records"]) == seeds
+
+
+@pytest.mark.parametrize("a_range,d_range", [("20:16", "1:2"), ("16:20", "8:1"), ("x:20", "1:2"), ("16..x", "1:2")])
 def test_sweep_bad_range_is_usage_error(capsys, a_range, d_range):
     code, out, err = run(capsys, "sweep", "gamma6", "--a-range", a_range, "--d-range", d_range,
                          "--jobs", "1")

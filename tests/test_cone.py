@@ -1,7 +1,6 @@
 """Apery table, freeness check, cone decomposition, Hilbert data, ring flags."""
 
 import json
-from dataclasses import replace
 from math import gcd
 from operator import eq
 from types import SimpleNamespace
@@ -152,7 +151,7 @@ def test_perturbed_record_is_refused(drawn):
     assume(gcd(a, d) == 1)
     seed = ArithmeticSeed(a, d)
     records = apery_records(seed)
-    records[n - 1] = replace(records[n - 1], **{field: getattr(records[n - 1], field) + step})
+    records[n - 1] = records[n - 1]._replace(**{field: getattr(records[n - 1], field) + step})
     with mock.patch.object(apsum.cone, "apery_records", lambda _: records):
         with pytest.raises(VerificationError) as err:
             apery_table(seed)
@@ -163,7 +162,7 @@ def test_value_off_its_class_is_refused_where_it_first_shows(monkeypatch):
     # class 10's value 75 + 1 leaves its class; column 0 meets it first, where
     # g_2 + w_10 must be a multiple of a, so (i) names column 0
     records = apery_records(SEED_11_2)
-    records[9] = replace(records[9], value=76)
+    records[9] = records[9]._replace(value=76)
     monkeypatch.setattr(apsum.cone, "apery_records", lambda _: records)
     with pytest.raises(VerificationError, match="nonFreeCone: column 0 "):
         apery_table(SEED_11_2)
@@ -306,7 +305,7 @@ def doctored_11_2(seed):
     value 75 = g_5 + 0 comes one row too early for order 2."""
     records = apery_records(seed)
     assert records[9].order == 1
-    records[9] = replace(records[9], order=2)
+    records[9] = records[9]._replace(order=2)
     return records
 
 
