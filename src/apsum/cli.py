@@ -16,8 +16,9 @@ generically.  Only the requested format is rendered: json is the envelope;
 csv is a header plus one row per record of a list payload, or one row for a
 dict payload, with list and dict cells written as JSON; table is one
 "key: value" line per field.  JSON is written byte for byte as
-``json.dumps(envelope, indent=2, sort_keys=True)`` would write it, and only
-the leaf named on the command line gets its flags.
+``json.dumps(envelope, indent=2, sort_keys=True)`` would write it.  A query
+builds one parser per word it names (top, group, leaf); every other word is
+a choice with its help line and no parser behind it.
 """
 
 from __future__ import annotations
@@ -82,13 +83,17 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+_key = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+
+
 def _json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, with ``pad`` the newline and current indent.
 
     With ``indent`` set, the stdlib drops to its pure-Python encoder, one
-    generator frame per item; here a plain int is its str, a list of plain
-    ints (bools print as true/false, so they are not) is one join, and other
-    scalars and empty containers go through the C encoder.
+    generator frame per item; here a plain int is its str, written inline as
+    a dict value, a list of plain ints (bools print as true/false, so they
+    are not) is one join, a dict key goes straight to the C string encoder,
+    and other scalars and empty containers go through the C encoder.
     """
     if type(value) is int:
         return str(value)
@@ -101,7 +106,8 @@ def _json(value, pad: str = "\n") -> str:
         return "[" + inner + body + pad + "]"
     if isinstance(value, dict) and value:
         inner = pad + "  "
-        body = ("," + inner).join(json.dumps(k) + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        body = ("," + inner).join(_key(k) + ": " + (str(v) if type(v) is int else _json(v, inner))
+                                  for k, v in sorted(value.items()))
         return "{" + inner + body + pad + "}"
     return json.dumps(value)
 
@@ -281,15 +287,20 @@ def _cmd_sweep_gamma6(seed, args):
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The argparse tree; given ``argv``, only the leaves and groups it names get their flags.
+    """The argparse tree; given ``argv``, only the leaves and groups it names are built.
 
-    Every leaf is still registered with its summary, so ``apsum --help``,
-    the choices and the "invalid choice" errors read the same, and a leaf's
-    own parse and help are the same whenever its name is on the line.
-    Without ``argv`` the whole tree is built.
+    Every word is still a choice with its summary, mapped to None unless
+    argv names it: argparse reads a choice's parser only once the word is
+    chosen, and a chosen word is on the line.  So ``apsum --help``, the
+    usage, the choices and the "invalid choice" and "unrecognized arguments"
+    errors read the same, and so do a leaf's own parse and help.  Without
+    ``argv`` the whole tree is built.
     """
     def named(word):
         return argv is None or word in argv
+
+    def parser_class(built, **kwargs):
+        return argparse.ArgumentParser(**kwargs) if built else None
 
     parser = argparse.ArgumentParser(
         prog="apsum",
@@ -297,12 +308,12 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         "of an arithmetic progression",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def register(group, word, summary):
-        """Add `word` to `group`: its parser if argv names it, else a bare stub (not even -h) and None."""
-        p = group.add_parser(word, help=summary, add_help=named(word))
-        return p if named(word) else None
+        """Add `word` to `group` as a choice with its help line; return its parser
+        if argv names it, else None, which is all the choice maps to."""
+        return group.add_parser(word, help=summary, built=named(word))
 
     def leaf(group, name, handler, summary, m=None, extra=()):
         """Add leaf `name` (its envelope name) to `group`; if named, its shared flags,
@@ -340,7 +351,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     ideal_group = register(sub, "ideal", "defining-ideal catalog and verification")
     if ideal_group is not None:
-        ideal_sub = ideal_group.add_subparsers(dest="ideal_command", required=True)
+        ideal_sub = ideal_group.add_subparsers(dest="ideal_command", required=True,
+                                               parser_class=parser_class)
         leaf(ideal_sub, "ideal list", _cmd_ideal_list, "catalog of binomial generators", extra=[(
             "--strict-21", {"action": "store_true", "dest": "strict_21",
                             "help": "at a=21, drop the seed-independent generators"})])
@@ -352,7 +364,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     sweep_group = register(sub, "sweep", "conjecture sweeps over (a, d) grids")
     if sweep_group is not None:
-        sweep_sub = sweep_group.add_subparsers(dest="sweep_command", required=True)
+        sweep_sub = sweep_group.add_subparsers(dest="sweep_command", required=True,
+                                               parser_class=parser_class)
         leaf(sweep_sub, "sweep unique", _cmd_sweep_unique, "uniqueness of Apery expansions", m=6)
         leaf(sweep_sub, "sweep gamma6", _cmd_sweep_gamma6, "six-generator Apery formula vs oracle")
     return parser

@@ -5,18 +5,22 @@ ideal, in each class; column n is the class of n * d mod a.  The cone is
 free over the fiber cone exactly when every column stays flat through the
 order of its Apery class and then climbs by a, guard row included.
 ``apery_table`` certifies that shape from the closed records against the
-layered DP M^s = gens + M^(s-1) in O(m * a), refusing a non-free cone; the
-O(a^2 / 10) rows are built only where they are read.  ``cone_decomposition``
-is the one result per seed: its shifts are the class orders, whose
-histogram is the Hilbert numerator (``t_counts``), checked against the
-class-order rule; ``ring_properties`` and ``cone_to_json`` are views of it.
+layered DP M^s = gens + M^(s-1), refusing a non-free cone: the records step
+by (g_5, +1) every 10 classes, so one O(a) scan of the steps leaves the
+per-column check to the first 30 columns and those a step off that rule
+reaches.  The O(a^2 / 10) rows are built only where they are read.
+``cone_decomposition`` is the one result per seed: its shifts are the class
+orders, whose histogram is the Hilbert numerator (``t_counts``), checked
+against the class-order rule; ``ring_properties`` and ``cone_to_json`` are
+views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
+from operator import ne, or_, sub
 
 from .errors import VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
@@ -67,15 +71,38 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
     f_j(s) = 0 needs delta = 0 and o_n' >= s - 1, so one j serves every s iff
     o_n' >= o_n - 1, capped at o_n - 1 by (ii): (iii), which also asks
     o_n >= 1, as w_n != 0 lies in M.  Columns keep w_n through o_n, so top
-    is max o_n.  O(m * a); the first failing column raises ``nonFreeCone``.
+    is max o_n.
+
+    Window: only columns n < 30 and those an off step reaches are checked.
+    By the order rule in ``canonical_expansion`` class m >= 20 is class
+    m - 10 plus generator 5, so w_m - w_(m-10) = g_5 and o_m - o_(m-10) = 1;
+    call the step into m off where the records break this.  Take n >= 30
+    (so a > 30 and C(j, 2) mod a = k in {1, 3, 6, 10}), and suppose the
+    steps into n and into every n - k are on.  Each n - k >= 20 and
+    n - 10 - k >= 10 index without wrapping, and w, o at n and at each n - k
+    exceed those at n - 10 and n - 10 - k by the same g_5 and 1, so every
+    delta and gap of column n equals that of column n - 10: column n fails
+    iff column n - 10 does.  So the first failing column is below 30 or is
+    m + k, k in {0, 1, 3, 6, 10}, for an off step m.  Checking those columns
+    in increasing order meets it first and raises the same ``nonFreeCone``
+    as a scan of every column; if none of them fails, no column does.  The
+    steps are scanned once in O(a), and each checked column costs O(m): the
+    closed records have no off step, so 30 columns are checked.
     """
     records = apery_records(seed)
     table = AperyTable((0, *(rec.value for rec in records)), (0, *(rec.order for rec in records)))
-    w, o = table.values, table.orders
+    w, o, a = table.values, table.orders, seed.a
     # generator 1 passes (i) and (ii) everywhere; w[n - k] wraps to class (n - k) mod a
-    steps = [(j * (j - 1) // 2 % seed.a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
-    for n in range(seed.a):
-        checks = [(divmod(g + w[n - k] - w[n], seed.a), o[n - k] - o[n]) for k, g in steps]
+    steps = [(j * (j - 1) // 2 % a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
+    g5 = steps[-1][1]
+    # the step into class m >= 20 is off unless it adds g_5 to the value and 1 to the order
+    off_value = map(ne, map(sub, w[20:], w[10:]), repeat(g5))
+    off_order = map(ne, map(sub, o[20:], o[10:]), repeat(1))
+    columns = set(range(min(a, 30)))
+    for m in compress(count(20), map(or_, off_value, off_order)):
+        columns.update(n for n in (m, m + 1, m + 3, m + 6, m + 10) if n < a)
+    for n in sorted(columns):
+        checks = [(divmod(g + w[n - k] - w[n], a), o[n - k] - o[n]) for k, g in steps]
         if not all(rem == 0 and delta >= max(0, gap + 1) for (delta, rem), gap in checks) or (
                 n and ((0, 0), -1) not in checks):
             raise VerificationError("nonFreeCone", f"column {n} is not free at (a, d) = ({seed.a}, {seed.d})")

@@ -522,6 +522,7 @@ def parsed(capsys, parser, argv):
 
 
 HELP_PATHS = [[], ["ideal"], ["sweep"], *[leaf.split() for leaf in LEAVES]]
+TOP_USAGE_ERRORS = [["nope"], ["cone", "--a", "11", "--d", "2", "extra"]]
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
@@ -529,12 +530,34 @@ HELP_PATHS = [[], ["ideal"], ["sweep"], *[leaf.split() for leaf in LEAVES]]
     *[[*path, "--help"] for path in HELP_PATHS],
     [], ["ideal"], ["sweep"], ["ideal", "nope"], ["cone", "--d", "7"],
     ["cone", "--a", "11", "--d", "2", "--format", "table"],  # a second leaf named as a value
+    *TOP_USAGE_ERRORS,
 ])
 def test_partial_parser_parses_as_the_whole_tree(capsys, monkeypatch, columns, argv):
     monkeypatch.setenv("COLUMNS", columns)
     whole = parsed(capsys, build_parser(), argv)
     assert parsed(capsys, build_parser(argv), argv) == whole
     assert whole[0] is not None or whole[1].handler is apsum.cli._cmd_cone
+    if argv in TOP_USAGE_ERRORS:  # the top usage, naming every subcommand
+        assert whole[3].startswith("usage: apsum [-h]")
+        assert all(leaf.split()[0] in whole[3] for leaf in LEAVES)
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["cone", "--a", "11", "--d", "2"], ["apsum", "apsum cone"]),
+    (["ideal", "verify", "--a", "23", "--d", "1"], ["apsum", "apsum ideal", "apsum ideal verify"]),
+])
+def test_a_query_builds_only_the_parsers_it_names(monkeypatch, argv, progs):
+    # every word argv does not name is a choice with no parser behind it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser(argv).parse_args(argv)
+    assert built == progs
 
 
 def readme_examples():

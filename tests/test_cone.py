@@ -140,22 +140,41 @@ def test_orders_11_2():
     assert table.orders[0] == 0  # the multiplicity column climbs from row 0
 
 
+def first_failing_column(seed, records):
+    """Reference: the first column of ``records`` failing ``apery_table``'s
+    conditions (i)-(iii), every column checked in turn; None if all pass."""
+    a = seed.a
+    w = (0, *(rec.value for rec in records))
+    o = (0, *(rec.order for rec in records))
+    steps = [(j * (j - 1) // 2 % a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
+    for n in range(a):
+        checks = [(divmod(g + w[n - k] - w[n], a), o[n - k] - o[n]) for k, g in steps]
+        if not all(rem == 0 and delta >= max(0, gap + 1) for (delta, rem), gap in checks) or (
+                n and ((0, 0), -1) not in checks):
+            return n
+    return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(11, 300).flatmap(lambda a: st.tuples(
-    st.just(a), st.integers(1, 40 * a), st.integers(1, a - 1),
-    st.sampled_from((("order", 1), ("order", -1), ("value", a))))))
+    st.just(a), st.integers(1, 40 * a),
+    st.lists(st.tuples(st.integers(1, a - 1), st.sampled_from((("order", 1), ("order", -1), ("value", a)))),
+             min_size=1, max_size=3, unique_by=lambda change: change[0]))))
 def test_perturbed_record_is_refused(drawn):
-    # one record off by one order, or by one multiple of a, is a table the
-    # layered DP does not build, and the certificate must see it
-    a, d, n, (field, step) = drawn
+    # records off by one order, or by one multiple of a, in one to three
+    # classes are a table the layered DP does not build; the windowed
+    # certificate must refuse it at the column a scan of every column names
+    a, d, changes = drawn
     assume(gcd(a, d) == 1)
     seed = ArithmeticSeed(a, d)
     records = apery_records(seed)
-    records[n - 1] = records[n - 1]._replace(**{field: getattr(records[n - 1], field) + step})
+    for n, (field, step) in changes:
+        records[n - 1] = records[n - 1]._replace(**{field: getattr(records[n - 1], field) + step})
+    column = first_failing_column(seed, records)
+    assert column is not None
     with mock.patch.object(apsum.cone, "apery_records", lambda _: records):
-        with pytest.raises(VerificationError) as err:
+        with pytest.raises(VerificationError, match=f"nonFreeCone: column {column} is not free"):
             apery_table(seed)
-    assert err.value.code == "nonFreeCone"
 
 
 def test_value_off_its_class_is_refused_where_it_first_shows(monkeypatch):
