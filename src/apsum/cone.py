@@ -5,10 +5,11 @@ ideal, in each class; column n is the class of n * d mod a.  The cone is
 free over the fiber cone exactly when every column stays flat through the
 order of its Apery class and then climbs by a, guard row included.
 ``apery_table`` certifies that shape from the closed records against the
-layered DP M^s = gens + M^(s-1), refusing a non-free cone: the records step
-by (g_5, +1) every 10 classes, so one O(a) scan of the steps leaves the
-per-column check to the first 30 columns and those a step off that rule
-reaches.  The O(a^2 / 10) rows are built only where they are read.
+layered DP M^s = gens + M^(s-1), refusing a non-free cone.  One period
+check comes first: when every step into a class m >= 20 adds (g_5, 1), as
+the closed records' steps do, column n >= 30 repeats column n - 10, so the
+per-column check runs on the first 30 columns; otherwise it runs on all of
+them.  The O(a^2 / 10) rows are built only where they are read.
 ``cone_decomposition`` is the one result per seed: its shifts are the class
 orders, whose histogram is the Hilbert numerator (``t_counts``), checked
 against the class-order rule; ``ring_properties`` and ``cone_to_json`` are
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
-from operator import ne, or_, sub
+from itertools import accumulate
+from operator import eq
 
-from .errors import VerificationError
+from .errors import DomainError, VerificationError
 from .family import ArithmeticSeed, apery_records, partial_sum_generators
 from .frobenius import pseudo_frobenius_set
 from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark tracer's self-test
@@ -47,11 +48,6 @@ class AperyTable:
         return tuple(zip(*((w,) * o + tuple(range(w, w + (top - o) * a + 1, a))
                            for w, o in zip(self.values, self.orders))))
 
-    @cached_property
-    def guard_row(self) -> tuple[int, ...]:
-        a, top = len(self.values), self.top
-        return tuple(w + (top + 1 - o) * a for w, o in zip(self.values, self.orders))
-
 
 def apery_table(seed: ArithmeticSeed) -> AperyTable:
     """The table of the closed records, certified against the layered DP.
@@ -73,35 +69,28 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
     o_n >= 1, as w_n != 0 lies in M.  Columns keep w_n through o_n, so top
     is max o_n.
 
-    Window: only columns n < 30 and those an off step reaches are checked.
-    By the order rule in ``canonical_expansion`` class m >= 20 is class
-    m - 10 plus generator 5, so w_m - w_(m-10) = g_5 and o_m - o_(m-10) = 1;
-    call the step into m off where the records break this.  Take n >= 30
-    (so a > 30 and C(j, 2) mod a = k in {1, 3, 6, 10}), and suppose the
-    steps into n and into every n - k are on.  Each n - k >= 20 and
-    n - 10 - k >= 10 index without wrapping, and w, o at n and at each n - k
-    exceed those at n - 10 and n - 10 - k by the same g_5 and 1, so every
-    delta and gap of column n equals that of column n - 10: column n fails
-    iff column n - 10 does.  So the first failing column is below 30 or is
-    m + k, k in {0, 1, 3, 6, 10}, for an off step m.  Checking those columns
-    in increasing order meets it first and raises the same ``nonFreeCone``
-    as a scan of every column; if none of them fails, no column does.  The
-    steps are scanned once in O(a), and each checked column costs O(m): the
-    closed records have no off step, so 30 columns are checked.
+    Window: by the order rule in ``canonical_expansion`` class m >= 20 is
+    class m - 10 plus generator 5, so w_m - w_(m-10) = g_5 and
+    o_m - o_(m-10) = 1.  If every step into a class m >= 20 keeps this, take
+    n >= 30 (so a > 30 and C(j, 2) mod a = k in {1, 3, 6, 10}): n - k >= 20
+    and n - 10 - k >= 10 index without wrapping, and w, o at n and at each
+    n - k exceed those at n - 10 and n - 10 - k by the same g_5 and 1, so
+    column n has the deltas and gaps of column n - 10 and fails iff it does.
+    The first failing column is then below 30, and checking columns
+    n < min(a, 30) in order raises the same ``nonFreeCone`` as a scan of
+    every column.  If some step breaks the rule, every column is checked in
+    order.  The steps are checked once in O(a) at C speed; the closed records
+    keep the rule, so 30 columns are checked.
     """
     records = apery_records(seed)
     table = AperyTable((0, *(rec.value for rec in records)), (0, *(rec.order for rec in records)))
     w, o, a = table.values, table.orders, seed.a
     # generator 1 passes (i) and (ii) everywhere; w[n - k] wraps to class (n - k) mod a
     steps = [(j * (j - 1) // 2 % a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
+    # the period check: every step into a class m >= 20 adds g_5 to the value and 1 to the order
     g5 = steps[-1][1]
-    # the step into class m >= 20 is off unless it adds g_5 to the value and 1 to the order
-    off_value = map(ne, map(sub, w[20:], w[10:]), repeat(g5))
-    off_order = map(ne, map(sub, o[20:], o[10:]), repeat(1))
-    columns = set(range(min(a, 30)))
-    for m in compress(count(20), map(or_, off_value, off_order)):
-        columns.update(n for n in (m, m + 1, m + 3, m + 6, m + 10) if n < a)
-    for n in sorted(columns):
+    periodic = all(map(eq, w[20:], map(g5.__add__, w[10:]))) and all(map(eq, o[20:], map((1).__add__, o[10:])))
+    for n in range(min(a, 30) if periodic else a):
         checks = [(divmod(g + w[n - k] - w[n], a), o[n - k] - o[n]) for k, g in steps]
         if not all(rem == 0 and delta >= max(0, gap + 1) for (delta, rem), gap in checks) or (
                 n and ((0, 0), -1) not in checks):
@@ -126,7 +115,10 @@ def order_histogram_closed(a: int) -> list[int]:
     rewrite (c2 == 2, c5 > 0) trades three generators for two.  So each
     residue is one class and one run of consecutive orders, counted by their
     edges in O(a / 10).  It reads no record, so it checks the records' orders.
+    Raises ``invalidSeed`` for a < 1.
     """
+    if a < 1:
+        raise DomainError("invalidSeed", f"a must be at least 1, got {a}")
     edges = [0] * (a // 10 + 5)
     for r in range(min(a, 10)):
         o, rewrite = r % 3 + r % 6 // 3 + r // 6, r % 3 == 2

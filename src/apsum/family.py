@@ -19,9 +19,7 @@ verdict reads it and compares it with the oracle, and nothing asserts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from math import gcd
-from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -85,15 +83,12 @@ def canonical_expansion(n: int) -> tuple[int, int, int, int]:
     return (c2, c3, c4, c5)
 
 
-def _degree(expansion: tuple[int, ...]) -> int:
-    # generator k is k*a + (k choose 2)*d, so its coefficient of a is k
-    return sum(map(mul, expansion, count(2)))
-
-
 class AperyRecord(NamedTuple):
-    """One Apery class of the five-generator semigroup, as an immutable tuple:
-    ``_replace`` and ``_asdict`` stand in for ``dataclasses.replace`` and
-    ``vars``, and setting or deleting a field raises ``AttributeError``."""
+    """One Apery class of the five-generator semigroup: its index n, the
+    multiplier of a, the value, the gap (value - a), the order and the
+    canonical expansion.  An immutable tuple: ``_replace`` returns a changed
+    copy, ``_asdict`` the fields by name, and setting a field raises
+    ``AttributeError``."""
 
     n: int
     multiplier: int
@@ -142,9 +137,11 @@ def require_closed_form(seed: ArithmeticSeed) -> None:
 
 
 def _record(a: int, d: int, n: int) -> AperyRecord:
-    # one class expanded once; multiplier, value, gap and order read off it
+    # the class rule: class n expanded once; generator k is k*a + C(k, 2)*d, so
+    # the multiplier of a is the (2, 3, 4, 5)-weighted degree
     exp = canonical_expansion(n)
-    mult = _degree(exp)
+    c2, c3, c4, c5 = exp
+    mult = 2 * c2 + 3 * c3 + 4 * c4 + 5 * c5
     value = mult * a + n * d
     return AperyRecord(n, mult, value, value - a, sum(exp), exp)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import ArithmeticSeed, _degree, canonical_expansion, partial_sum_generators, require_closed_form
+from .family import ArithmeticSeed, _record, partial_sum_generators, require_closed_form
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
     a, d = seed.a, seed.d
     steps = [(g, k * (k - 1) // 2) for k, g in enumerate(partial_sum_generators(seed)[1:], 2)]
     window = {*range(1, 10), *range(a - 10, a)}
-    value = {n: _degree(canonical_expansion(n)) * a + n * d
-             for n in window | {(n + c) % a for n in window for _, c in steps}}
+    value = {n: _record(a, d, n).value for n in window | {(n + c) % a for n in window for _, c in steps}}
     not_maximal = {n for n in window for g, c in steps if value[n] + g == value[(n + c) % a]}
     pf = tuple(sorted(value[n] - a for n in window - not_maximal))
     return PFResult(pf, max(pf), len(pf), "largeA" if a >= 20 else "smallA")

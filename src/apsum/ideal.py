@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .family import ArithmeticSeed, _degree, canonical_expansion, partial_sum_generators, require_closed_form
+from .family import ArithmeticSeed, _record, partial_sum_generators, require_closed_form
 
 Exponents = tuple[int, ...]
 
@@ -105,11 +105,6 @@ FAMILY_OFFSETS_BY_RESIDUE = {
 }
 
 
-def _family_entry(a: int, d: int, k: int) -> tuple[Exponents, Exponents]:
-    exp = canonical_expansion(a + k)
-    return _e(_degree(exp) + d - 2 * k, k), _e(0, *exp)
-
-
 def residue_family(a: int, d: int) -> dict[str, tuple[Exponents, Exponents]]:
     """The residue-dependent generators for a >= 11, with r = a mod 10.
 
@@ -121,7 +116,9 @@ def residue_family(a: int, d: int) -> dict[str, tuple[Exponents, Exponents]]:
     trades it up where the catalog needs it and reports any exponent still negative.
     """
     r = a % 10
-    return {f"h{r}{i}": _family_entry(a, d, k) for i, k in enumerate(FAMILY_OFFSETS_BY_RESIDUE[r], 1)}
+    recs = ((k, _record(a, d, a + k)) for k in FAMILY_OFFSETS_BY_RESIDUE[r])
+    return {f"h{r}{i}": (_e(rec.multiplier + d - 2 * k, k), _e(0, *rec.expansion))
+            for i, (k, rec) in enumerate(recs, 1)}
 
 
 # The two seeds whose closing generator is not the traded first entry: the

@@ -14,6 +14,7 @@ import apsum.cli
 import apsum.cone
 from apsum import (
     ArithmeticSeed,
+    DomainError,
     VerificationError,
     apery_records,
     apery_table,
@@ -41,8 +42,8 @@ def test_table_11_2_rows():
     table = apery_table(SEED_11_2)
     assert table.rows == TABLE_11_2
     assert table.top == 3
-    # guard row climbs everywhere: no column pauses past the window
-    assert table.guard_row == tuple(v + 11 for v in table.rows[-1])
+    # the DP's guard row climbs everywhere: no column pauses past the window
+    assert tuple(v + 11 for v in table.rows[-1]) == reference_apery_table(SEED_11_2)[1]
 
 
 def test_table_row_structure_generic():
@@ -83,8 +84,15 @@ def reference_apery_table(seed):
     return tuple(rows), level, orders
 
 
+def with_guard(table):
+    """(rows, guard row, orders) of a table: past its top row every column climbs
+    by a, so the guard row is the last row plus a, to match the references."""
+    a = len(table.values)
+    return table.rows, tuple(v + a for v in table.rows[-1]), table.orders
+
+
 def assert_matches_reference(table, seed):
-    assert (table.rows, table.guard_row, table.orders) == reference_apery_table(seed), (seed.a, seed.d)
+    assert with_guard(table) == reference_apery_table(seed), (seed.a, seed.d)
 
 
 def test_table_matches_dp_reference():
@@ -117,7 +125,7 @@ def orders_table(seed):
 
 def assert_matches_orders_table(seed):
     table = apery_table(seed)
-    assert (table.rows, table.guard_row, table.orders) == orders_table(seed), (seed.a, seed.d)
+    assert with_guard(table) == orders_table(seed), (seed.a, seed.d)
 
 
 @pytest.mark.parametrize("a,d", [(11, 2), (21, 1), (21, 2), (60, 7), (200, 7)])
@@ -177,6 +185,30 @@ def test_perturbed_record_is_refused(drawn):
             apery_table(seed)
 
 
+@pytest.mark.parametrize("a,d", [(31, 2), (37, 1), (42, 11), (59, 7), (100, 3), (157, 40 * 157 - 1), (300, 7)])
+def test_shifted_progression_is_refused_in_the_window(a, d):
+    # shifting a whole residue progression (class 10 + r and every 10th class
+    # after it) by one order or by a keeps every step into a class m >= 20 on
+    # the order rule, so apery_table checks only its 30-column window and must
+    # name the column a scan of every column names.  Such shifts first fail
+    # below column 20 (all 19,110 at 31 <= a < 160, d in 1, 2, 3, 7, 11,
+    # 40a - 1, in a probe), so no test pins the bound 30: the proof in
+    # apery_table's docstring does.
+    seed = ArithmeticSeed(a, d)
+    g5 = partial_sum_generators(seed)[4]
+    for r in range(10):
+        for field, step in (("order", 1), ("order", -1), ("value", a)):
+            records = apery_records(seed)
+            for n in range(10 + r, a, 10):
+                records[n - 1] = records[n - 1]._replace(**{field: getattr(records[n - 1], field) + step})
+            assert all(q.value - p.value == g5 and q.order - p.order == 1 for p, q in zip(records[9:], records[19:]))
+            column = first_failing_column(seed, records)
+            assert column is not None
+            with mock.patch.object(apsum.cone, "apery_records", lambda _: records):
+                with pytest.raises(VerificationError, match=f"nonFreeCone: column {column} is not free"):
+                    apery_table(seed)
+
+
 def test_value_off_its_class_is_refused_where_it_first_shows(monkeypatch):
     # class 10's value 75 + 1 leaves its class; column 0 meets it first, where
     # g_2 + w_10 must be a multiple of a, so (i) names column 0
@@ -211,6 +243,13 @@ def test_order_histograms():
     assert order_histogram_closed(11) == [1, 4, 4, 2]
     assert order_histogram_closed(23) == [1, 4, 9, 9]
     assert order_histogram_closed(20) == [1, 4, 8, 7]
+
+
+@pytest.mark.parametrize("a", [0, -5, -60])
+def test_closed_histogram_refuses_a_below_one(a):
+    with pytest.raises(DomainError, match="invalidSeed"):
+        order_histogram_closed(a)
+    assert order_histogram_closed(1) == [1]  # class 0 alone, order 0
 
 
 def test_closed_histogram_counts_the_canonical_orders():
