@@ -1,17 +1,16 @@
 """Exact invariants of numerical semigroups generated by partial sums of an
 arithmetic progression: Apery sets, Frobenius data, defining-ideal catalogs
-with dimension verification, Apery tables, tangent-cone decompositions, and
-conjecture sweeps.  Pure Python integers throughout; every closed form is
-cross-checked against a brute-force oracle in the test suite.
+with dimension verification, certified Apery tables that carry the
+tangent-cone invariants, and conjecture sweeps.  Pure Python integers
+throughout; every closed form is cross-checked against a brute-force oracle
+in the test suite.
 """
 
 __version__ = "0.1.0"
 
 from .cone import (
     AperyTable,
-    ConeDecomposition,
     apery_table,
-    cone_decomposition,
     cone_to_json,
     order_histogram_closed,
     ring_properties,
@@ -51,8 +50,6 @@ from .oracle import (
     membership,
     order_oracle,
     pseudo_frobenius_oracle,
-    representation_count,
-    representations,
     validate_generators,
 )
 from .sweeps import (

@@ -31,7 +31,7 @@ import os
 import sys
 
 from . import __version__
-from .cone import apery_table, cone_decomposition, cone_to_json, ring_properties
+from .cone import apery_table, cone_to_json, ring_properties
 from .errors import DomainError, VerificationError
 from .family import (
     ArithmeticSeed,
@@ -248,16 +248,16 @@ def _cmd_table(seed, args):
 
 
 def _cmd_cone(seed, args):
-    dec = cone_decomposition(seed)
-    return cone_to_json(dec), EXIT_OK, {"table": lambda: (
-        f"tCounts {list(dec.t_counts)} free True shifts {list(dec.shifts)}\n"
-        f"reduction formula {dec.reduction_formula} computed {dec.reduction_computed}\n"
-        f"properties {ring_properties(dec)}\n"
+    table = apery_table(seed)
+    return cone_to_json(table), EXIT_OK, {"table": lambda: (
+        f"tCounts {list(table.t_counts)} free True shifts {list(table.shifts)}\n"
+        f"reduction formula {table.reduction_formula} computed {table.top}\n"
+        f"properties {ring_properties(table)}\n"
     )}
 
 
 def _cmd_hilbert(seed, args):
-    numerator = cone_decomposition(seed).t_counts
+    numerator = apery_table(seed).t_counts
     payload = {"numerator": list(numerator), "denominator": "1-x"}
     return payload, EXIT_OK, {
         "table": lambda: " + ".join(f"{c}x^{k}" for k, c in enumerate(numerator)) + " over (1-x)\n"}
@@ -390,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "ioError", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except (MemoryError, OverflowError) as exc:  # a sieve or table sized by a huge input
+        exc.__traceback__ = None  # free the half-built lists before formatting the message
         message = f"input too large to compute: {exc!r}"
         print(json.dumps({"error": "tooLarge", "message": message}), file=sys.stderr)
         return EXIT_DOMAIN

@@ -1,4 +1,4 @@
-"""Apery table, freeness check, and the tangent-cone decomposition.
+"""The certified Apery table: the one cone result per seed.
 
 Row s of the Apery table lists the least element of M^s, M the maximal
 ideal, in each class; column n is the class of n * d mod a.  The cone is
@@ -9,11 +9,12 @@ layered DP M^s = gens + M^(s-1), refusing a non-free cone.  One period
 check comes first: when every step into a class m >= 20 adds (g_5, 1), as
 the closed records' steps do, column n >= 30 repeats column n - 10, so the
 per-column check runs on the first 30 columns; otherwise it runs on all of
-them.  The O(a^2 / 10) rows are built only where they are read.
-``cone_decomposition`` is the one result per seed: its shifts are the class
-orders, whose histogram is the Hilbert numerator (``t_counts``), checked
-against the class-order rule; ``ring_properties`` and ``cone_to_json`` are
-views of it.
+them.  The histogram of the certified orders is then checked against the
+class-order rule.  The O(a^2 / 10) rows are built only where they are read.
+As the cone is free, every cone invariant is a view of the table: the
+shifts are the class orders, their histogram ``t_counts`` is the Hilbert
+numerator, and the top order is the reduction number; ``ring_properties``
+and ``cone_to_json`` read the table.
 """
 
 from __future__ import annotations
@@ -31,15 +32,35 @@ from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark t
 
 @dataclass(frozen=True)
 class AperyTable:
-    """Row 0 and the column orders; row s at column n is
-    values[n] + max(0, s - orders[n]) * a, a the number of columns."""
+    """The certified table of a seed: row 0, the column orders and their
+    histogram.  Row s at column n is values[n] + max(0, s - orders[n]) * a,
+    a the number of columns."""
 
+    seed: ArithmeticSeed
     values: tuple[int, ...]  # row 0: the Apery set in column order
     orders: tuple[int, ...]  # last row keeping each column's row-0 value, 0 for column 0
+    # the order histogram, which is also the Hilbert series numerator over
+    # (1 - x); its upper index is the maximum class order
+    t_counts: tuple[int, ...]
 
     @property
     def top(self) -> int:
-        return max(self.orders)
+        """The reduction number as computed: the maximum class order, valid because the cone is free."""
+        return len(self.t_counts) - 1
+
+    @property
+    def shifts(self) -> tuple[int, ...]:
+        """The multiset of free-summand shifts, sorted: the class orders."""
+        return tuple(sorted(self.orders))
+
+    @property
+    def reduction_formula(self) -> int:
+        """The reduction number by the formula floor(a/10) + 1.
+
+        It undercounts whenever classes of order floor(a/10) + 2 exist; both
+        it and ``top`` are reported and a disagreement is data, not an error.
+        """
+        return self.seed.a // 10 + 1
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -50,7 +71,8 @@ class AperyTable:
 
 
 def apery_table(seed: ArithmeticSeed) -> AperyTable:
-    """The table of the closed records, certified against the layered DP.
+    """The table of the closed records, certified against the layered DP,
+    with the histogram of its orders checked against the class-order rule.
 
     With w_n, o_n from the records (w_0 = o_0 = 0) the table is
     P_s[n] = w_n + max(0, s - o_n) a.  The DP row s >= 1 at column n is the
@@ -83,8 +105,7 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
     keep the rule, so 30 columns are checked.
     """
     records = apery_records(seed)
-    table = AperyTable((0, *(rec.value for rec in records)), (0, *(rec.order for rec in records)))
-    w, o, a = table.values, table.orders, seed.a
+    w, o, a = (0, *(rec.value for rec in records)), (0, *(rec.order for rec in records)), seed.a
     # generator 1 passes (i) and (ii) everywhere; w[n - k] wraps to class (n - k) mod a
     steps = [(j * (j - 1) // 2 % a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
     # the period check: every step into a class m >= 20 adds g_5 to the value and 1 to the order
@@ -95,7 +116,14 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
         if not all(rem == 0 and delta >= max(0, gap + 1) for (delta, rem), gap in checks) or (
                 n and ((0, 0), -1) not in checks):
             raise VerificationError("nonFreeCone", f"column {n} is not free at (a, d) = ({seed.a}, {seed.d})")
-    return table
+    direct = _histogram(o)
+    closed = order_histogram_closed(a)
+    if direct != closed:
+        raise VerificationError(
+            "tCountMismatch",
+            f"orders of the records {direct} != class-order rule {closed} at (a, d) = ({seed.a}, {seed.d})",
+        )
+    return AperyTable(seed, w, o, tuple(direct))
 
 
 def _histogram(orders) -> list[int]:
@@ -131,52 +159,14 @@ def order_histogram_closed(a: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class ConeDecomposition:
-    """The tangent cone as a free module over the fiber cone.
+def ring_properties(table: AperyTable) -> dict:
+    """Cohen-Macaulay / Gorenstein / Buchsbaum flags of a certified cone.
 
-    The one result per seed: it keeps the Apery table it was read from, and
-    every other cone invariant is a view of it.
-    """
-
-    seed: ArithmeticSeed
-    table: AperyTable
-    # the order histogram, which is also the Hilbert series numerator over
-    # (1 - x); its upper index is the maximum class order
-    t_counts: tuple[int, ...]
-    shifts: tuple[int, ...]  # multiset of free-summand shifts, sorted
-    # The reduction number by the formula floor(a/10) + 1 and as computed:
-    # the maximum class order, valid because the cone is free.  The formula
-    # undercounts whenever classes of order floor(a/10) + 2 exist; both are
-    # reported and a disagreement is data, not an error.
-    reduction_formula: int
-    reduction_computed: int
-
-
-def cone_decomposition(seed: ArithmeticSeed) -> ConeDecomposition:
-    """Build the table once (``apery_table`` refuses a non-free cone) and
-    check the t_k of its certified orders against the class-order rule.
-    """
-    table = apery_table(seed)
-    direct = _histogram(table.orders)
-    closed = order_histogram_closed(seed.a)
-    if direct != closed:
-        raise VerificationError(
-            "tCountMismatch",
-            f"orders of the records {direct} != class-order rule {closed} at (a, d) = ({seed.a}, {seed.d})",
-        )
-    return ConeDecomposition(seed, table, tuple(direct), tuple(sorted(table.orders)),
-                             reduction_formula=seed.a // 10 + 1, reduction_computed=table.top)
-
-
-def ring_properties(dec: ConeDecomposition) -> dict:
-    """Cohen-Macaulay / Gorenstein / Buchsbaum flags of a decomposed cone.
-
-    A decomposed cone is free, hence Cohen-Macaulay and so Buchsbaum; it is
+    A certified cone is free, hence Cohen-Macaulay and so Buchsbaum; it is
     Gorenstein exactly when the type is 1 (never the case here, the type is
     at least 4).
     """
-    gorenstein = pseudo_frobenius_set(dec.seed).type_count == 1
+    gorenstein = pseudo_frobenius_set(table.seed).type_count == 1
     return {"cohenMacaulay": True, "gorenstein": gorenstein, "buchsbaum": True}
 
 
@@ -184,20 +174,20 @@ def ring_properties(dec: ConeDecomposition) -> dict:
 # exports
 # ----------------------------------------------------------------------
 
-def cone_to_json(dec: ConeDecomposition) -> dict:
-    """JSON-ready view of a decomposition: table rows, t-vector, freeness, shifts, reduction data."""
+def cone_to_json(table: AperyTable) -> dict:
+    """JSON-ready view of a certified table: rows, t-vector, freeness, shifts, reduction data."""
     return {
-        "rows": [list(row) for row in dec.table.rows],
-        "tCounts": list(dec.t_counts),
+        "rows": [list(row) for row in table.rows],
+        "tCounts": list(table.t_counts),
         "free": True,
-        "shifts": list(dec.shifts),
+        "shifts": list(table.shifts),
         "torsion": [],
         "reductionNumber": {
-            "formula": dec.reduction_formula,
-            "computed": dec.reduction_computed,
+            "formula": table.reduction_formula,
+            "computed": table.top,
         },
         "hilbert": {
-            "numerator": list(dec.t_counts),
+            "numerator": list(table.t_counts),
             "denominator": "1-x",
         },
     }

@@ -2,9 +2,9 @@
 
 Everything here is exhaustive dynamic programming over an explicit generator
 list: membership sieves, Apery sets, Frobenius and pseudo-Frobenius numbers,
-element orders, and representation counts.  The closed forms elsewhere in the
-package are always cross-checked against these functions, so they stay
-deliberately simple and exact (Python integers throughout).
+and element orders.  The closed forms elsewhere in the package are always
+cross-checked against these functions, so they stay deliberately simple and
+exact (Python integers throughout).
 
 Apery sets are shortest paths over the residues mod the base c, computed with
 the round-robin algorithm of Boecker and Liptak ("A fast and simple algorithm
@@ -22,17 +22,11 @@ from math import gcd
 from .errors import DomainError
 
 
-def _positive(gens) -> tuple[int, ...]:
-    """gens as a tuple of ints in any order; zero or negative ones are refused."""
+def validate_generators(gens) -> tuple[int, ...]:
+    """Normalize gens to a tuple, enforcing the generating-set invariants."""
     g = tuple(int(x) for x in gens)
     if any(x <= 0 for x in g):
         raise DomainError("invalidGenerators", "generators must be positive")
-    return g
-
-
-def validate_generators(gens) -> tuple[int, ...]:
-    """Normalize gens to a tuple, enforcing the generating-set invariants."""
-    g = _positive(gens)
     if not g:
         raise DomainError("invalidGenerators", "generator list is empty")
     if any(y <= x for x, y in zip(g, g[1:])):
@@ -171,43 +165,3 @@ def is_minimal_generating(gens) -> bool:
             return False
     return True
 
-
-def representation_counts(gens, limit: int) -> list[int]:
-    """Number of distinct coefficient vectors on gens summing to each of 0..limit."""
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    for g in _positive(gens):
-        for v in range(g, limit + 1):
-            counts[v] += counts[v - g]
-    return counts
-
-
-def representation_count(value: int, gens) -> int:
-    """Number of distinct coefficient vectors on gens summing to value."""
-    counts = representation_counts(gens, max(value, 0))
-    return counts[value] if value >= 0 else 0
-
-
-def representations(value: int, gens) -> list[tuple[int, ...]]:
-    """All coefficient vectors on gens summing to value, lexicographic order.
-
-    Each coefficient is bounded by value // generator, so the search is a
-    complete enumeration.
-    """
-    gens = _positive(gens)
-    out: list[tuple[int, ...]] = []
-    coeffs = [0] * len(gens)
-
-    def rec(i: int, remaining: int) -> None:
-        if i == len(gens):
-            if remaining == 0:
-                out.append(tuple(coeffs))
-            return
-        g = gens[i]
-        for k in range(remaining // g + 1):
-            coeffs[i] = k
-            rec(i + 1, remaining - k * g)
-        coeffs[i] = 0
-
-    rec(0, value)
-    return out

@@ -18,7 +18,6 @@ from apsum import (
     apery_records,
     apery_set_closed,
     apery_table,
-    cone_decomposition,
     cone_to_json,
     frobenius_oracle,
     gastinger_verify,
@@ -55,12 +54,8 @@ GRID_MAIN = coprime_grid(11, 60, 1, 12)  # criteria 3, 5, 6, 7
 
 @pytest.fixture(scope="module")
 def cones():
-    """Tables and decompositions for the main grid, shared across criteria."""
-    out = {}
-    for a, d in GRID_MAIN:
-        dec = cone_decomposition(ArithmeticSeed(a, d))
-        out[(a, d)] = (dec.table, dec)
-    return out
+    """Certified Apery tables for the main grid, shared across criteria."""
+    return {(a, d): apery_table(ArithmeticSeed(a, d)) for a, d in GRID_MAIN}
 
 
 def _report(name: str, detail: str, elapsed: float) -> None:
@@ -198,11 +193,11 @@ def test_gastinger_to_a1000():
 
 def test_criterion_5_order_histogram(cones):
     start = time.perf_counter()
-    for (a, d), (_, dec) in cones.items():
+    for (a, d), table in cones.items():
         closed = order_histogram_closed(a)
-        assert list(dec.t_counts) == closed, (a, d)
-        assert sum(dec.t_counts) == a
-        assert dec.t_counts[1] == 4
+        assert list(table.t_counts) == closed, (a, d)
+        assert sum(table.t_counts) == a
+        assert table.t_counts[1] == 4
     _report("5", f"direct t-counts = closed form, sum = a, t1 = 4 on {len(cones)} seeds",
             time.perf_counter() - start)
 
@@ -213,11 +208,11 @@ def test_cone_to_a1000():
     assert {a % 10 for a, _ in seeds} == set(range(10))  # every histogram residue row
     for a, d in seeds:
         seed = ArithmeticSeed(a, d)
-        dec = cone_decomposition(seed)
-        assert dec.table.orders[1:] == tuple(rec.order for rec in apery_records(seed)), (a, d)
-        assert list(dec.t_counts) == order_histogram_closed(a), (a, d)
-        assert with_guard(dec.table) == reference_apery_table(seed), (a, d)
-        data = cone_to_json(dec)
+        table = apery_table(seed)
+        assert table.orders[1:] == tuple(rec.order for rec in apery_records(seed)), (a, d)
+        assert list(table.t_counts) == order_histogram_closed(a), (a, d)
+        assert with_guard(table) == reference_apery_table(seed), (a, d)
+        data = cone_to_json(table)
         assert data["free"] is True and data["torsion"] == [], (a, d)
     _report("5+6", f"table orders = closed orders, t-counts = closed form, free cone on "
             f"{len(seeds)} log-spaced seeds (60<a<=1000, d<=40a)", time.perf_counter() - start)
@@ -225,17 +220,17 @@ def test_cone_to_a1000():
 
 def test_criterion_6_cone_freeness(cones):
     start = time.perf_counter()
-    for (a, d), (table, dec) in cones.items():
+    for (a, d), table in cones.items():
         seed = ArithmeticSeed(a, d)
         assert with_guard(table) == reference_apery_table(seed), (a, d)
-        data = cone_to_json(dec)
+        data = cone_to_json(table)
         assert data["free"] is True and data["torsion"] == [], (a, d)
-        props = ring_properties(dec)
+        props = ring_properties(table)
         assert props["cohenMacaulay"] is True
         assert props["gorenstein"] is False
         assert props["buchsbaum"] is True
         assert pseudo_frobenius_set(seed).type_count >= 4
-        assert data["hilbert"]["numerator"] == list(dec.t_counts)
+        assert data["hilbert"]["numerator"] == list(table.t_counts)
     _report("6", f"every column free, CM, never Gorenstein, Hilbert = t-vector on {len(cones)} seeds",
             time.perf_counter() - start)
 
@@ -243,22 +238,22 @@ def test_criterion_6_cone_freeness(cones):
 def test_criterion_7_reduction_number(cones):
     start = time.perf_counter()
     discrepancies = []
-    for (a, d), (table, dec) in cones.items():
+    for (a, d), table in cones.items():
         records = apery_records(ArithmeticSeed(a, d))
         max_order = max(r.order for r in records)
-        assert dec.reduction_computed == max_order, (a, d)
-        assert dec.reduction_computed == len(dec.t_counts) - 1
+        assert table.top == max_order, (a, d)
+        assert table.top == len(table.t_counts) - 1
         q, r = divmod(a, 10)
-        top_count = dec.t_counts[q + 2] if len(dec.t_counts) > q + 2 else 0
-        disagrees = dec.reduction_computed != dec.reduction_formula
+        top_count = table.t_counts[q + 2] if len(table.t_counts) > q + 2 else 0
+        disagrees = table.top != table.reduction_formula
         assert disagrees == (top_count > 0), (a, d)
         # the top row fills exactly at residues >= 5 or where order q+2
         # classes come from the small-order adjustment
         assert (top_count > 0) == (r >= 5 or q + 2 == 3), (a, d)
         if disagrees:
             discrepancies.append(
-                {"a": a, "d": d, "formula": dec.reduction_formula,
-                 "computed": dec.reduction_computed}
+                {"a": a, "d": d, "formula": table.reduction_formula,
+                 "computed": table.top}
             )
     assert {"a": 11, "d": 2, "formula": 2, "computed": 3} in discrepancies
     ARTIFACTS.mkdir(exist_ok=True)

@@ -444,6 +444,23 @@ def test_out_of_memory_is_too_large(capsys, monkeypatch):
     assert json.loads(err) == {"error": "tooLarge", "message": "input too large to compute: MemoryError()"}
 
 
+@pytest.mark.parametrize("command", ["hilbert", "apery"])
+def test_running_out_of_address_space_is_too_large(command):
+    # at a = 1,500,007 the record list outgrows a 200 MB address space part way
+    # through; the message must be formatted after that list is freed, or the
+    # process exits 1 ("lost sys.stderr") or spins, which the timeout fails
+    resource = pytest.importorskip("resource")
+    src = str(Path(apsum.cli.__file__).resolve().parent.parent)
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import apsum.cli; sys.exit(apsum.cli.main(sys.argv[2:]))"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src, command, "--a", "1500007", "--d", "1"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (200 * 10**6, resource.RLIM_INFINITY)))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "tooLarge"
+
+
 def test_closed_order_of_a_huge_value(capsys):
     # the oracle path refuses 10^20 with tooLarge; the closed path answers from one Apery
     # record.  Past the Apery set every step of a adds one generator (a free tangent cone),

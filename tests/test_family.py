@@ -34,7 +34,7 @@ from apsum.family import (
     least_degrees,
     triangular_digits,
 )
-from apsum.oracle import orders_up_to, representation_counts, representations, validate_generators
+from apsum.oracle import orders_up_to, validate_generators
 
 
 def test_partial_sum_examples():
@@ -302,6 +302,40 @@ def test_uniqueness_reports_violations_with_witnesses():
     assert set(violation.expansions) == {(3, 0), (0, 2)}
     for v in report.violations:
         assert v.count == len(v.expansions) > 1
+
+
+def representation_counts(gens, limit):
+    """Number of distinct coefficient vectors on gens summing to each of 0..limit."""
+    counts = [0] * (limit + 1)
+    counts[0] = 1
+    for g in gens:
+        for v in range(g, limit + 1):
+            counts[v] += counts[v - g]
+    return counts
+
+
+def representations(value, gens):
+    """All coefficient vectors on gens summing to value, lexicographic order.
+
+    Each coefficient is bounded by value // generator, so the search is a
+    complete enumeration.
+    """
+    out = []
+    coeffs = [0] * len(gens)
+
+    def rec(i, remaining):
+        if i == len(gens):
+            if remaining == 0:
+                out.append(tuple(coeffs))
+            return
+        g = gens[i]
+        for k in range(remaining // g + 1):
+            coeffs[i] = k
+            rec(i + 1, remaining - k * g)
+        coeffs[i] = 0
+
+    rec(0, value)
+    return out
 
 
 @cache
