@@ -380,7 +380,11 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "a"):
             seed = ArithmeticSeed(args.a, args.d, getattr(args, "m", 5))
         payload, code, text = args.handler(seed, args)
-        _emit(_render(_envelope(args.name, seed, payload), args.format, text), args.out)
+        try:  # str() refuses an int longer than the interpreter's digit limit
+            rendered = _render(_envelope(args.name, seed, payload), args.format, text)
+        except ValueError as exc:
+            raise DomainError("tooLarge", f"answer too long to print: {exc}") from None
+        _emit(rendered, args.out)
     except (DomainError, VerificationError) as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         if isinstance(exc, UsageError):

@@ -5,13 +5,13 @@ For coprime a, d > 0 the generators are the partial sums
     s_n = n * (2a + (n - 1) d) / 2,   n = 1..m,
 
 i.e. a, 2a+d, 3a+3d, 4a+6d, 5a+10d, ...  Generator k is k*a + C(k, 2)*d,
-so an expansion of the class index n is n written in greedy digits over the
-triangular numbers C(k, 2) (``triangular_digits``).  With five generators the
-Apery set with respect to a admits a closed form: over the digits 10, 6, 3, 1
-(plus one rewrite), the least member of class n is the digit-weighted
-multiple of a plus n*d, and the digits are its canonical expansion over the
-non-multiplicity generators.  The six-generator analogue takes for class n
-the least degree of an expansion of n over 1, 3, 6, 10, 15
+so an expansion of the class index n writes n as a sum of the triangular
+numbers C(k, 2).  With five generators the Apery set with respect to a
+admits a closed form: with n in the mixed radix 10, 6, 3, 1 (plus one
+rewrite, ``canonical_expansion``), the least member of class n is the
+digit-weighted multiple of a plus n*d, and the digits are its canonical
+expansion over the non-multiplicity generators.  The six-generator analogue
+takes for class n the least degree of an expansion of n over 1, 3, 6, 10, 15
 (``least_degrees``) times a, plus n*d.  It is conjectural: the gamma6 sweep
 verdict reads it and compares it with the oracle, and nothing asserts it.
 """
@@ -51,33 +51,24 @@ def partial_sum_generators(seed: ArithmeticSeed) -> tuple[int, ...]:
     return validate_generators(gens)
 
 
-def triangular_digits(n: int, m: int) -> tuple[int, ...]:
-    """Greedy digits (c2, ..., cm) of n >= 0 over C(m, 2), ..., 6, 3, 1.
-
-    n = sum of c_k * C(k, 2); generator k is k*a + C(k, 2)*d, so c_k counts
-    generator k in an expansion of the class index n.
-    """
-    if n < 0:
-        raise DomainError("invalidElement", "triangular digits need n >= 0")
-    digits = [0] * (m - 1)
-    for k in range(m, 1, -1):
-        digits[k - 2], n = divmod(n, k * (k - 1) // 2)
-    return tuple(digits)
-
-
 def canonical_expansion(n: int) -> tuple[int, int, int, int]:
     """Coefficients (c2, c3, c4, c5) on the non-multiplicity generators.
 
-    Generic expansions are ``triangular_digits(n, 5)``; when c2 == 2 and
-    c5 > 0 the rewritten form (0, c3, c4 + 2, c5 - 1) trades two degree-2
-    generators and one degree-5 generator for two degree-4 ones, which lowers
-    the degree (the multiplier of a) by one, and the order by one.
+    Generic expansions are n's digits in the mixed radix 10, 6, 3, 1, so
+    n = 10*c5 + 6*c4 + 3*c3 + c2.  When c2 == 2 and c5 > 0 the rewritten form
+    (0, c3, c4 + 2, c5 - 1) trades two degree-2 generators and one degree-5
+    generator for two degree-4 ones, which lowers the degree (the multiplier
+    of a) by one, and the order by one.
 
     The order rule: for n >= 10, class n + 10 adds one generator 5 to class
     n.  Its greedy digits are those of n with c5 one larger, and both have
     c5 > 0, so the rewrite applies to both or to neither.
     """
-    c2, c3, c4, c5 = triangular_digits(n, 5)
+    if n < 0:
+        raise DomainError("invalidElement", "canonical expansions need n >= 0")
+    c5, r = divmod(n, 10)
+    c4, r = divmod(r, 6)
+    c3, c2 = divmod(r, 3)
     if c2 == 2 and c5 > 0:
         return (0, c3, c4 + 2, c5 - 1)
     return (c2, c3, c4, c5)

@@ -302,7 +302,7 @@ def buchberger(polys: Iterable[Poly | None]) -> GroebnerBasis:
     return GroebnerBasis(tuple(basis))
 
 
-def _staircase(basis: Iterable[Exponents], nvars: int) -> list[tuple[Exponents, int]] | None:
+def _staircase(basis: Iterable[Exponents]) -> list[tuple[Exponents, int]] | None:
     """Standard monomials of the monomial ideal as lex-ordered runs, or None
     when there are infinitely many.
 
@@ -311,12 +311,13 @@ def _staircase(basis: Iterable[Exponents], nvars: int) -> list[tuple[Exponents, 
     Coordinate i stops at the first value where a surviving generator has no
     support right of i, since that subtree and every later one lie in the
     ideal; at the last coordinate that value is the run length.  No such
-    generator means x_i is unbounded there.  Any generating set works, and a
+    generator means x_i is unbounded there, as x_1 is for an empty basis.
+    Tuple length is the variable count.  Any generating set works, and a
     constant generator stops the walk at once: k[x]/(1) = 0.
     """
-    last = nvars - 1
     # each generator with the index of its last nonzero exponent (-1 for 1)
     tagged = [(g, max((i for i, e in enumerate(g) if e), default=-1)) for g in basis]
+    last = len(tagged[0][0]) - 1 if tagged else 0
     runs: list[tuple[Exponents, int]] = []
 
     def walk(prefix: Exponents, alive: list) -> bool:
@@ -336,20 +337,20 @@ def _staircase(basis: Iterable[Exponents], nvars: int) -> list[tuple[Exponents, 
     return runs if walk((), tagged) else None
 
 
-def standard_monomials(basis: Iterable[Exponents], nvars: int) -> list[Exponents] | None:
+def standard_monomials(basis: Iterable[Exponents]) -> list[Exponents] | None:
     """Monomials outside the monomial ideal in lex order, or None when infinite.
 
     The staircase walk yields them as runs along the last variable, so the
     cost is proportional to the prefixes outside the ideal, not to the box
     bounded by the pure powers.
     """
-    runs = _staircase(basis, nvars)
+    runs = _staircase(basis)
     return None if runs is None else [prefix + (v,) for prefix, n in runs for v in range(n)]
 
 
-def standard_monomial_count(basis: Iterable[Exponents], nvars: int):
+def standard_monomial_count(basis: Iterable[Exponents]):
     """Number of monomials outside the monomial ideal, or INFINITE."""
-    runs = _staircase(basis, nvars)
+    runs = _staircase(basis)
     return INFINITE if runs is None else sum(n for _, n in runs)
 
 
@@ -373,7 +374,7 @@ def _leading_monomials(images: list[Poly | None]) -> list[Exponents]:
 
 def _dimension(images: list[Poly | None]):
     """Standard monomial count in x2..x5 of the ideal the images generate."""
-    return standard_monomial_count(_leading_monomials(images), 4)
+    return standard_monomial_count(_leading_monomials(images))
 
 
 def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | None:
@@ -383,7 +384,7 @@ def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | No
     generates the full defining ideal, these monomials map bijectively onto
     the Apery set through the weighted degree.
     """
-    return standard_monomials(_leading_monomials(_quotient_polys(catalog)), 4)
+    return standard_monomials(_leading_monomials(_quotient_polys(catalog)))
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,6 @@ def pseudo_frobenius_oracle(gens) -> tuple[int, ...]:
 def is_minimal_generating(gens) -> bool:
     """True iff no generator is a combination of the others."""
     g = validate_generators(gens)
-    if len(g) == 1:
-        return True  # necessarily (1,)
     for i, x in enumerate(g):
         others = g[:i] + g[i + 1 :]
         if membership_mask(others, x) >> x & 1:

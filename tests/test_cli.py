@@ -414,6 +414,33 @@ def test_bad_input_is_a_coded_domain_error(capsys, argv, error):
     assert json.loads(err)["error"] == error
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int-to-str conversion has no digit limit")
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("command", ["info", "frobenius", "pf"])
+def test_answer_past_the_digit_limit_is_too_large(capsys, tmp_path, command, fmt):
+    # a has as many digits as str() allows, so 2a + d and the answers built on it have one more
+    a = 9 * 10 ** (DIGIT_LIMIT - 1) + 1
+    target = tmp_path / "out"
+    for out_flag in ((), ("--out", str(target))):
+        code, out, err = run(capsys, command, "--a", str(a), "--d", "1", "--format", fmt, *out_flag)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "tooLarge"
+    assert not target.exists()
+
+
+def test_value_error_outside_rendering_is_not_too_large(capsys, monkeypatch):
+    def broken(seed):
+        raise ValueError("not a rendering fault")
+
+    monkeypatch.setattr(apsum.cli, "pseudo_frobenius_set", broken)
+    with pytest.raises(ValueError, match="not a rendering fault"):
+        main(["frobenius", "--a", "11", "--d", "2"])
+
+
 def test_minimality_of_a_huge_seed_is_closed(capsys):
     # a > C(m, 2) decides minimality for every m, so no oracle runs at a = 10^20 + 1
     a = 10**20 + 1

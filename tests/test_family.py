@@ -32,7 +32,6 @@ from apsum.family import (
     UniquenessViolation,
     _record,
     least_degrees,
-    triangular_digits,
 )
 from apsum.oracle import orders_up_to, validate_generators
 
@@ -60,31 +59,25 @@ def test_seed_below_a2_or_d1_rejected(a, d):
     [
         (8, (2, 0, 1, 0)),
         (10, (0, 0, 0, 1)),
-        (22, (2, 0, 0, 2)),
+        (22, (0, 0, 2, 1)),  # digits (2, 0, 0, 2), rewritten
     ],
 )
 def test_radix_digit_examples(n, expected):
-    assert triangular_digits(n, 5) == expected
+    assert canonical_expansion(n) == expected
 
 
 def test_radix_round_trip():
     for n in range(10_001):
-        c2, c3, c4, c5 = triangular_digits(n, 5)
+        c2, c3, c4, c5 = canonical_expansion(n)
         assert 10 * c5 + 6 * c4 + 3 * c3 + c2 == n
+        if c4 >= 2:  # the rewrite of digits with c2 == 2 and c5 > 0
+            c2, c4, c5 = 2, c4 - 2, c5 + 1
         # remainders after the 10-, 6- and 3-digits
         assert n - 10 * c5 <= 9 and 3 * c3 + c2 <= 5 and 0 <= c2 <= 2
         assert c3 <= 1 and c4 <= 1
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda n: triangular_digits(n, 5),
-        lambda n: triangular_digits(n, 6),
-        canonical_expansion,
-    ],
-    ids=["triangular5", "triangular6", "canonical_expansion"],
-)
+@pytest.mark.parametrize("call", [canonical_expansion], ids=["canonical_expansion"])
 def test_negative_index_rejected(call):
     with pytest.raises(DomainError) as err:
         call(-1)
@@ -426,15 +419,6 @@ def test_unique_balanced_solution_brute_force():
 # ----------------------------------------------------------------------
 # six-generator conjectural formula
 # ----------------------------------------------------------------------
-
-def test_radix6_round_trip():
-    for n in range(5_000):
-        c2, c3, c4, c5, c6 = triangular_digits(n, 6)
-        assert 15 * c6 + 10 * c5 + 6 * c4 + 3 * c3 + c2 == n
-        # remainders after the 15-, 10-, 6- and 3-digits
-        assert n - 15 * c6 <= 14 and 6 * c4 + 3 * c3 + c2 <= 9
-        assert 3 * c3 + c2 <= 5 and c2 <= 2
-
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (12, 8), (20, 10)])
 def test_multiplier6_examples(n, expected):
