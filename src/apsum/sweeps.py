@@ -4,7 +4,7 @@ six-generator Apery formula, over (a, d) grids.
 Verdicts are data, never assertions: a violation or mismatch is recorded
 with its witness and the sweep keeps going.  Grids run in a stable order
 (ascending a, then d), optionally fanned out over processes, with an
-append-only JSONL checkpoint that survives truncation of its final line.
+append-only JSONL checkpoint that survives a damaged tail.
 A checkpoint opens with a header line naming its sweep kind and m; a sweep
 refuses a non-empty checkpoint with a missing or different header.
 
@@ -101,34 +101,56 @@ class CheckpointCursor:
     byte_offset: int = 0
 
 
+# json.loads' own C scanner, called once per line without loads' wrappers
+_scan_value = json.JSONDecoder().scan_once
+
+
 def resume(path: str) -> CheckpointCursor:
     """Scan a JSONL checkpoint, stopping at the first corrupt line.
 
-    Line 1 is the header; a first line without one counts as corrupt.  The
-    cursor's byte_offset marks the end of the last valid line, so a writer
-    can truncate a damaged tail and continue appending.
+    One pass: the file is read and decoded as UTF-8 once, split on newlines,
+    and each line is read with one call of json's scanner.  A line is
+    corrupt if it is not UTF-8, is not exactly one JSON value (whitespace
+    around it allowed, a leading BOM not), has no newline, or is a record
+    without a hashable ``a``, ``d``, ``m`` and a ``verdict``.  Line 1 is the
+    header; a first line without one counts as corrupt.  The cursor's
+    byte_offset marks the end of the last valid line, so a writer can
+    truncate a damaged tail and continue appending.
     """
     cursor = CheckpointCursor()
     if not os.path.exists(path):
         return cursor
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                entry = json.loads(raw.decode("utf-8"))
-                if not raw.endswith(b"\n"):
-                    raise ValueError("incomplete line")
-                if lineno == 1:
-                    cursor.header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
-                else:
-                    key = (entry["a"], entry["d"], entry["m"])
-                    if "verdict" not in entry:
-                        raise ValueError("incomplete record")
-                    cursor.completed[key] = entry
-            except (ValueError, KeyError, TypeError):
-                cursor.corrupt_line = lineno
-                break
-            cursor.valid_lines += 1
-            cursor.byte_offset += len(raw)
+        data = fh.read()
+    try:
+        text, bad_bytes = data.decode("utf-8"), False
+    except UnicodeDecodeError as exc:
+        # the lines before the one holding the bad byte still count
+        text, bad_bytes = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), True
+    lines = text.split("\n")
+    tail = lines.pop()  # "" after a final newline, else an unterminated line
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            body = line.strip(" \t\r")  # JSON whitespace, less the newline split off
+            entry, end = _scan_value(body, 0)
+            if end != len(body):
+                raise ValueError("extra data")
+            if lineno == 1:
+                cursor.header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
+            else:
+                key = (entry["a"], entry["d"], entry["m"])
+                if "verdict" not in entry:
+                    raise ValueError("incomplete record")
+                cursor.completed[key] = entry
+        except (ValueError, KeyError, TypeError, StopIteration):  # StopIteration: no value
+            cursor.corrupt_line = lineno
+            break
+        cursor.valid_lines += 1
+    else:
+        if tail or bad_bytes:
+            cursor.corrupt_line = len(lines) + 1
+    # the end of the last valid line's newline, in raw bytes
+    cursor.byte_offset = len(data) - len(data.split(b"\n", cursor.valid_lines)[-1])
     return cursor
 
 

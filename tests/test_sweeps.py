@@ -149,7 +149,7 @@ def test_checkpoint_truncated_final_line(tmp_path):
     assert cursor.valid_lines == 1 + 4 and cursor.corrupt_line is None
 
 
-@pytest.mark.parametrize("damage", ["unterminated", "noVerdict"])
+@pytest.mark.parametrize("damage", ["unterminated", "noVerdict", "notUtf8"])
 def test_checkpoint_corrupt_record_is_recomputed(tmp_path, damage):
     path = str(tmp_path / "sweep.jsonl")
     fresh = sweep_uniqueness(5, (11, 12), (1, 2))
@@ -158,11 +158,14 @@ def test_checkpoint_corrupt_record_is_recomputed(tmp_path, damage):
     if damage == "unterminated":
         bad = len(lines)  # the last record is complete JSON, but its newline is missing
         lines[-1] = lines[-1].rstrip(b"\n")
-    else:
+    elif damage == "noVerdict":
         bad = 3  # a middle record without its verdict
         entry = json.loads(lines[bad - 1])
         del entry["verdict"]
         lines[bad - 1] = json.dumps(entry).encode() + b"\n"
+    else:
+        bad = 3  # a middle record holding a byte that is not UTF-8
+        lines[bad - 1] = lines[bad - 1][:5] + b"\xff" + lines[bad - 1][5:]
     with open(path, "wb") as fh:
         fh.write(b"".join(lines))
     cursor = resume(path)
@@ -177,6 +180,76 @@ def test_checkpoint_corrupt_record_is_recomputed(tmp_path, damage):
     cursor = resume(path)
     assert cursor.corrupt_line is None
     assert cursor.valid_lines == 1 + len(fresh.records)
+
+
+def _resume_per_line(path):
+    """Reference scan: each line decoded and read with its own json.loads."""
+    cursor = apsum.sweeps.CheckpointCursor()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                entry = json.loads(raw.decode("utf-8"))
+                if not raw.endswith(b"\n"):
+                    raise ValueError("incomplete line")
+                if lineno == 1:
+                    cursor.header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
+                else:
+                    key = (entry["a"], entry["d"], entry["m"])
+                    if "verdict" not in entry:
+                        raise ValueError("incomplete record")
+                    cursor.completed[key] = entry
+            except (ValueError, KeyError, TypeError):
+                cursor.corrupt_line = lineno
+                break
+            cursor.valid_lines += 1
+            cursor.byte_offset += len(raw)
+    return cursor
+
+
+def _assert_resume_matches_reference(path, data):
+    path.write_bytes(data)
+    got, want = resume(str(path)), _resume_per_line(str(path))
+    assert (got.header, list(got.completed.items()), got.valid_lines, got.corrupt_line, got.byte_offset) == (
+        want.header, list(want.completed.items()), want.valid_lines, want.corrupt_line, want.byte_offset), data
+
+
+_HEADER = b'{"checkpoint":"uniqueness","m":5}\n'
+_GRID_3x3 = [_HEADER] + [
+    b'{"a":%d,"d":%d,"m":5,"ms":0,"verdict":"match"}\n' % (a, d) for a in (11, 12, 13) for d in (1, 2, 3)
+]
+
+
+def test_resume_matches_a_per_line_scan_at_every_truncation(tmp_path):
+    data = b"".join(_GRID_3x3)
+    for end in range(len(data) + 1):
+        _assert_resume_matches_reference(tmp_path / "sweep.jsonl", data[:end])
+
+
+_LINE_DAMAGE = {
+    "notUtf8": lambda line: line[:5] + b"\xff" + line[5:],
+    "bom": lambda line: b"\xef\xbb\xbf" + line,
+    "crlf": lambda line: line[:-1] + b"\r\n",
+    "blank": lambda line: b"\n",
+    "spacesAndTabs": lambda line: b" \t" + line[:-1] + b"\t \n",
+    "verticalTab": lambda line: b"\x0b" + line,  # not JSON whitespace
+    "twoObjects": lambda line: line[:-1] + line,
+    "splitObject": lambda line: b'{"x":1\n"y":2}\n',
+    "list": lambda line: b"[1]\n",
+    "string": lambda line: b'"x"\n',
+    "nan": lambda line: b"NaN\n",
+    "unhashableKey": lambda line: b'{"a":[1],"d":1,"m":5,"verdict":"match"}\n',
+    "noVerdict": lambda line: b'{"a":11,"d":1,"m":5}\n',
+    "header": lambda line: _HEADER,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_LINE_DAMAGE))
+def test_resume_matches_a_per_line_scan_on_a_damaged_line(tmp_path, damage):
+    # the header line, a middle record and the last record
+    for at in (0, len(_GRID_3x3) // 2, len(_GRID_3x3) - 1):
+        lines = list(_GRID_3x3)
+        lines[at] = _LINE_DAMAGE[damage](lines[at])
+        _assert_resume_matches_reference(tmp_path / "sweep.jsonl", b"".join(lines))
 
 
 def test_checkpoint_refuses_another_sweep(tmp_path):
