@@ -119,11 +119,9 @@ def has_closed_form(seed: ArithmeticSeed) -> bool:
 
 def require_closed_form(seed: ArithmeticSeed) -> None:
     """Refuse seeds outside ``has_closed_form``, naming the condition missed."""
-    if has_closed_form(seed):
-        return
     if seed.m != 5:
         raise DomainError("closedFormUnavailable", f"closed form needs m == 5, got m == {seed.m}")
-    if seed.a < 11:
+    if not minimality_check(seed):
         raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
 
 

@@ -14,15 +14,16 @@ ideal iff that count equals a, and it is minimal iff every drop-one variant
 fails it; at a = 21 a second catalog call builds the strict variant.
 
 The Buchberger engine works in grevlex only, on the fragment the count
-needs: monic monomials and binomials, each one pair (lead, tail).  It never
-queues a pair of two monomials, and it skips pairs with coprime leads.  The
-catalog is mapped to k[x2..x5] once; each drop-one variant is that image
-less one element.
+needs: monic monomials and binomials, each one pair (lead, tail), rewritten
+by one move, x^e -> x^(tail + e - lead).  It never queues a pair of two
+monomials, and it skips pairs with coprime leads.  The catalog is mapped to
+k[x2..x5] once; each drop-one variant is that image less one element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, ge, sub
 from typing import Iterable
 
 from .errors import DomainError
@@ -54,6 +55,8 @@ class BinomialGenerator:
     def __post_init__(self):
         if len(self.lhs) != 5 or len(self.rhs) != 5:
             raise DomainError("invalidGenerator", f"{self.label}: exponent vectors need 5 entries")
+        if not all(isinstance(e, int) and e >= 0 for e in (*self.lhs, *self.rhs)):
+            raise DomainError("invalidGenerator", f"{self.label}: exponents must be ints >= 0")
         if self.lhs == self.rhs:
             raise DomainError("invalidGenerator", f"{self.label}: sides are equal")
 
@@ -188,11 +191,13 @@ def catalog_to_json(catalog: list[BinomialGenerator]) -> list[dict]:
 # ----------------------------------------------------------------------
 # A polynomial is the pair (lead, tail): the monic binomial x^lead - x^tail
 # with lead > tail in grevlex, or the monomial x^lead when tail is None.
-# S-polynomials and reduction rewrite one term at a time into a monomial or
-# zero, so this shape is closed under completion.  Reduction rewrites the
-# lead only: the count reads leading monomials alone.  One order suffices:
-# the standard monomials of any Groebner basis span the quotient (Macaulay's
-# basis theorem), so the dimension count cannot depend on the order.
+# Every rewrite is one move, _moved: an element whose lead divides x^e turns
+# x^e into x^(tail + e - lead), or into zero when it is a monomial.  Reduction
+# moves the lead, an S-polynomial moves the lcm of two leads, so the shape is
+# closed under completion.  Reduction rewrites the lead only: the count reads
+# leading monomials alone.  One order suffices: the standard monomials of any
+# Groebner basis span the quotient (Macaulay's basis theorem), so the
+# dimension count cannot depend on the order.
 # The S-polynomial of two monomials is zero, and a catalog image is mostly
 # monomials, so the pair queue holds only pairs with at least one binomial.
 
@@ -215,52 +220,32 @@ def binomial(u: Exponents | None, v: Exponents | None) -> Poly | None:
     return (v, u)
 
 
-def _divide(a: Exponents, b: Exponents) -> Exponents | None:
-    if all(x >= y for x, y in zip(a, b)):
-        return tuple(x - y for x, y in zip(a, b))
-    return None
-
-
-def _mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _find_reducer(e: Exponents, basis: list[Poly]):
-    """(quotient, tail) of the first element whose lead divides x^e, or None."""
-    for lead, tail in basis:
-        quot = _divide(e, lead)
-        if quot is not None:
-            return quot, tail
-    return None
+def _moved(tail: Exponents | None, lead: Exponents, target: Exponents) -> Exponents | None:
+    """x^target rewritten by (lead, tail), whose lead divides it; None is zero."""
+    return None if tail is None else tuple(map(add, tail, map(sub, target, lead)))
 
 
 def reduce_poly(p: Poly | None, basis: list[Poly]) -> Poly | None:
     """Rewrite the lead of p until no basis lead divides it; None is zero.
 
-    The tail is left as it is: a nonzero result's lead lies outside the lead
+    Each move uses the first basis element whose lead divides the lead.  The
+    tail is left as it is: a nonzero result's lead lies outside the lead
     ideal, which is all Buchberger's loop needs to end with a Groebner basis.
     """
     while p is not None:
-        hit = _find_reducer(p[0], basis)
-        if hit is None:
+        lead = p[0]
+        for b_lead, b_tail in basis:
+            if all(map(ge, lead, b_lead)):
+                p = binomial(_moved(b_tail, b_lead, lead), p[1])
+                break
+        else:
             return p
-        quot, q_tail = hit
-        p = binomial(None if q_tail is None else _mul(quot, q_tail), p[1])
     return None
 
 
 def _s_poly(f: Poly, g: Poly) -> Poly | None:
-    lf, tf = f
-    lg, tg = g
-    lcm = _lcm(lf, lg)
-    return binomial(
-        None if tf is None else _mul(_divide(lcm, lf), tf),
-        None if tg is None else _mul(_divide(lcm, lg), tg),
-    )
+    lcm = tuple(map(max, f[0], g[0]))
+    return binomial(_moved(f[1], f[0], lcm), _moved(g[1], g[0], lcm))
 
 
 @dataclass(frozen=True)
@@ -367,14 +352,9 @@ def _quotient_polys(catalog: Iterable[BinomialGenerator]) -> list[Poly | None]:
     return [binomial(None if b.lhs[0] else b.lhs[1:], None if b.rhs[0] else b.rhs[1:]) for b in catalog]
 
 
-def _leading_monomials(images: list[Poly | None]) -> list[Exponents]:
-    """Leading monomials of a Groebner basis of catalog images in k[x2..x5]."""
-    return [lead for lead, _ in buchberger(images).elements]
-
-
 def _dimension(images: list[Poly | None]):
     """Standard monomial count in x2..x5 of the ideal the images generate."""
-    return standard_monomial_count(_leading_monomials(images))
+    return standard_monomial_count([lead for lead, _ in buchberger(images).elements])
 
 
 def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | None:
@@ -384,7 +364,7 @@ def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | No
     generates the full defining ideal, these monomials map bijectively onto
     the Apery set through the weighted degree.
     """
-    return standard_monomials(_leading_monomials(_quotient_polys(catalog)))
+    return standard_monomials([lead for lead, _ in buchberger(_quotient_polys(catalog)).elements])
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,10 @@ def test_catalog_g_homogeneity_identities():
     ((1, 0, 0, 0), (0, 1, 0, 0, 0)),  # a 4-entry side
     ((1, 0, 0, 0, 0), (0, 1, 0, 0)),
     ((1, 0, 2, 0, 0), (1, 0, 2, 0, 0)),  # equal sides
+    ((0, -1, 0, 0, 0), (0, 0, 0, 0, 1)),  # a negative exponent
+    ((0, 0, 0, 0, 1), (0, 0, 0, 0, -2)),
+    ((0.5, 0, 0, 0, 0), (0, 1, 0, 0, 0)),  # a non-int exponent
+    ((1, 0, 0, 0, 0), (0, 1, 0, "1", 0)),
 ])
 def test_binomial_generator_rejects_malformed_sides(lhs, rhs):
     with pytest.raises(DomainError) as err:
@@ -222,6 +226,11 @@ def test_reduce_poly_rewrites_the_lead_only():
     assert reduce_poly(binomial((2, 0), (0, 1)), [binomial((1, 0), None)]) == ((0, 1), None)
     monomials = [binomial((1, 0), None), binomial((0, 1), None)]
     assert reduce_poly(binomial((2, 0), (0, 1)), monomials) is None
+    # x^2 y against x^2 - y and x y - x, whose leads both divide it: the first
+    # in basis order moves it, to y^2 here and to x^2, then y, the other way round
+    both = [binomial((2, 0), (0, 1)), binomial((1, 1), (1, 0))]
+    assert reduce_poly(binomial((2, 1), None), both) == ((0, 2), None)
+    assert reduce_poly(binomial((2, 1), None), both[::-1]) == ((0, 1), None)
 
 
 def test_buchberger_single_binomial_is_complete():
