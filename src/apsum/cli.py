@@ -14,9 +14,11 @@ once and returns (payload, exit code, text), where text maps "csv" or
 "table" to a zero-argument renderer for a format the payload cannot render
 generically.  Only the requested format is rendered: json is the envelope;
 csv is a header plus one row per record of a list payload, or one row for a
-dict payload, with list and dict cells written as JSON; table is one
+dict payload, with list, tuple and dict cells written as JSON; table is one
 "key: value" line per field.  JSON is written byte for byte as
-``json.dumps(envelope, indent=2, sort_keys=True)`` would write it.  A query
+``json.dumps(envelope, indent=2, sort_keys=True)`` would write it; the table
+rows are joined from columns of cell strings and each Apery record fills one
+%-template, everything else goes through ``_json``.  A query
 builds one parser per word it names (top, group, leaf); every other word is
 a choice with its help line and no parser behind it.
 """
@@ -29,6 +31,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .cone import apery_table, cone_to_json, ring_properties
@@ -60,19 +63,7 @@ EXIT_VERIFICATION = 4
 
 
 def _jsonable(value):
-    if value is INFINITE:
-        return "infinite"
-    return value
-
-
-def _envelope(command: str, seed: ArithmeticSeed | None, payload) -> dict:
-    return {
-        "command": command,
-        "seed": None if seed is None else {"a": seed.a, "d": seed.d, "m": seed.m},
-        "payload": payload,
-        "toolVersion": __version__,
-        "schemaVersion": SCHEMA_VERSION,
-    }
+    return "infinite" if value is INFINITE else value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -93,7 +84,8 @@ def _json(value, pad: str = "\n") -> str:
     generator frame per item; here a plain int is its str, written inline as
     a dict value, a list of plain ints (bools print as true/false, so they
     are not) is one join, a dict key goes straight to the C string encoder,
-    and other scalars and empty containers go through the C encoder.
+    and other scalars and empty containers go through the C encoder.  A
+    callable renders itself at ``pad``.  An f-string copies a body once, ``+`` once per step.
     """
     if type(value) is int:
         return str(value)
@@ -103,13 +95,38 @@ def _json(value, pad: str = "\n") -> str:
             body = ("," + inner).join(map(str, value))
         else:
             body = ("," + inner).join(_json(v, inner) for v in value)
-        return "[" + inner + body + pad + "]"
+        return f"[{inner}{body}{pad}]"
     if isinstance(value, dict) and value:
         inner = pad + "  "
         body = ("," + inner).join(_key(k) + ": " + (str(v) if type(v) is int else _json(v, inner))
                                   for k, v in sorted(value.items()))
-        return "{" + inner + body + pad + "}"
-    return json.dumps(value)
+        return f"{{{inner}{body}{pad}}}"
+    return value(pad) if callable(value) else json.dumps(value)
+
+
+def _row_text(table, sep: str):
+    """The rows, cells joined by ``sep``, zipped from columns: str(w_n) once through o_n, then the climb."""
+    a, top = len(table.values), table.top
+    return map(sep.join, zip(*[(str(w),) * (o + 1) + tuple(map(str, range(w + a, w + (top - o) * a + 1, a)))
+                               for w, o in zip(table.values, table.orders)]))
+
+
+def _rows_json(table, pad: str | None = None) -> str:
+    """``json.dumps`` of the table's rows: compact, or with indent=2 at ``pad``."""
+    if pad is None:
+        return f"[[{'], ['.join(_row_text(table, ', '))}]]"
+    row, cell = pad + "  ", pad + "    "
+    return f"[{row}[{cell}{(row + '],' + row + '[' + cell).join(_row_text(table, ',' + cell))}{row}]{pad}]"
+
+
+def _records_json(records, pad: str) -> str:
+    """The indent=2 dump at ``pad`` of the records as dicts, expansion a list: one %-template, keys sorted."""
+    item, field, digit = pad + "  ", pad + "    ", pad + "      "
+    template = (f'{{{field}"expansion": [{digit}%d,{digit}%d,{digit}%d,{digit}%d{field}],{field}"gap": %d,'
+                f'{field}"multiplier": %d,{field}"n": %d,{field}"order": %d,{field}"value": %d{item}}}')
+    body = ("," + item).join([template % (e0, e1, e2, e3, gap, mult, n, order, value)
+                              for n, mult, value, gap, order, (e0, e1, e2, e3) in records])
+    return f"[{item}{body}{pad}]"
 
 
 def _render(envelope: dict, fmt: str, text: dict) -> str:
@@ -134,7 +151,7 @@ def _csv(payload) -> str:
 
 
 def _cell(value) -> str:
-    return json.dumps(value) if isinstance(value, (list, dict)) else str(value)
+    return value() if callable(value) else json.dumps(value) if isinstance(value, (list, tuple, dict)) else str(value)
 
 
 class UsageError(DomainError):
@@ -185,8 +202,9 @@ def _cmd_apery(seed, args):
         payload = {"byResidue": values, "set": sorted(values)}
         return payload, EXIT_OK, {"table": lambda: _joined(payload["set"])}
     records = apery_records(seed)
-    payload = [{**r._asdict(), "expansion": list(r.expansion)} for r in records]
-    return payload, EXIT_OK, {"table": lambda: _joined(sorted([0] + [r.value for r in records]))}
+    return partial(_records_json, records), EXIT_OK, {
+        "csv": lambda: _csv([r._asdict() for r in records]),
+        "table": lambda: _joined(sorted([0] + [r.value for r in records]))}
 
 
 def _cmd_frobenius(seed, args):
@@ -240,16 +258,16 @@ def _cmd_ideal_verify(seed, args):
 
 def _cmd_table(seed, args):
     table = apery_table(seed)
-    payload = {"rows": [list(r) for r in table.rows], "top": table.top}
+    payload = {"rows": partial(_rows_json, table), "top": table.top}
     return payload, EXIT_OK, {
-        "csv": lambda: "".join(",".join(map(str, row)) + "\n" for row in table.rows),
+        "csv": lambda: "\n".join(_row_text(table, ",")) + "\n",
         "table": lambda: "".join(" ".join(f"{v:5d}" for v in row) + "\n" for row in table.rows),
     }
 
 
 def _cmd_cone(seed, args):
     table = apery_table(seed)
-    return cone_to_json(table), EXIT_OK, {"table": lambda: (
+    return cone_to_json(table, rows=partial(_rows_json, table)), EXIT_OK, {"table": lambda: (
         f"tCounts {list(table.t_counts)} free True shifts {list(table.shifts)}\n"
         f"reduction formula {table.reduction_formula} computed {table.top}\n"
         f"properties {ring_properties(table)}\n"
@@ -380,8 +398,10 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "a"):
             seed = ArithmeticSeed(args.a, args.d, getattr(args, "m", 5))
         payload, code, text = args.handler(seed, args)
-        try:  # str() refuses an int longer than the interpreter's digit limit
-            rendered = _render(_envelope(args.name, seed, payload), args.format, text)
+        envelope = {"command": args.name, "seed": None if seed is None else {"a": seed.a, "d": seed.d, "m": seed.m},
+                    "payload": payload, "toolVersion": __version__, "schemaVersion": SCHEMA_VERSION}
+        try:  # str() and %d refuse an int longer than the interpreter's digit limit
+            rendered = _render(envelope, args.format, text)
         except ValueError as exc:
             raise DomainError("tooLarge", f"answer too long to print: {exc}") from None
         _emit(rendered, args.out)

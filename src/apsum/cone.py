@@ -174,10 +174,10 @@ def ring_properties(table: AperyTable) -> dict:
 # exports
 # ----------------------------------------------------------------------
 
-def cone_to_json(table: AperyTable) -> dict:
-    """JSON-ready view of a certified table: rows, t-vector, freeness, shifts, reduction data."""
+def cone_to_json(table: AperyTable, rows=None) -> dict:
+    """JSON-ready view of a certified table: rows (``rows`` if given), t-vector, freeness, shifts, reduction data."""
     return {
-        "rows": [list(row) for row in table.rows],
+        "rows": [list(row) for row in table.rows] if rows is None else rows,
         "tCounts": list(table.t_counts),
         "free": True,
         "shifts": list(table.shifts),

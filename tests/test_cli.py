@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 import apsum.cli
 import apsum.cone
 import apsum.frobenius
-from apsum import ArithmeticSeed, DomainError, order_oracle, partial_sum_generators, strip_timing
-from apsum.cli import _jobs, _json, build_parser, main
+from apsum import (ArithmeticSeed, DomainError, apery_records, apery_table, cone_to_json, order_oracle,
+                   partial_sum_generators, strip_timing)
+from apsum.cli import _cell, _jobs, _json, _records_json, _rows_json, build_parser, main
+from apsum.cone import AperyTable
+from apsum.family import AperyRecord
 from apsum.ideal import GastingerReport
 
 
@@ -432,6 +435,19 @@ def test_answer_past_the_digit_limit_is_too_large(capsys, tmp_path, command, fmt
     assert not target.exists()
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int-to-str conversion has no digit limit")
+@pytest.mark.parametrize("command, fmt", [("apery", "json"), ("apery", "csv"), ("apery", "table"),
+                                          ("table", "json"), ("table", "csv"), ("table", "table"),
+                                          ("cone", "json"), ("cone", "csv")])
+def test_column_rendered_value_past_the_digit_limit_is_too_large(capsys, monkeypatch, command, fmt):
+    # no seed the package can compute reaches the limit, so the records and the table are stand-ins
+    huge = 10 ** DIGIT_LIMIT
+    monkeypatch.setattr(apsum.cli, "apery_records", lambda seed: [AperyRecord(1, 2, huge, huge - 11, 1, (0, 1, 0, 0))])
+    monkeypatch.setattr(apsum.cli, "apery_table", lambda seed: AperyTable(seed, (0, huge), (0, 1), (1, 1)))
+    code, out, err = run(capsys, command, "--a", "11", "--d", "2", "--format", fmt)
+    assert (code, out, json.loads(err)["error"]) == (3, "", "tooLarge")
+
+
 def test_value_error_outside_rendering_is_not_too_large(capsys, monkeypatch):
     def broken(seed):
         raise ValueError("not a rendering fault")
@@ -522,8 +538,12 @@ def test_order_outside_the_closed_form_uses_the_oracle(capsys, seed):
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
                 | st.integers(max_value=-2**64) | st.text())
+ROW_CELLS = st.integers() | st.booleans() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+EQUAL_ROWS = st.integers(0, 4).flatmap(
+    lambda width: st.lists(st.lists(ROW_CELLS, min_size=width, max_size=width), max_size=4))
 JSON_VALUES = st.recursive(
-    JSON_SCALARS | st.lists(st.integers() | st.booleans()),
+    JSON_SCALARS | st.lists(st.integers() | st.booleans()) | EQUAL_ROWS | EQUAL_ROWS.map(tuple)
+    | EQUAL_ROWS.map(lambda rows: tuple(map(tuple, rows))),
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(st.text(), inner)),
     max_leaves=25,
@@ -553,6 +573,53 @@ def test_json_output_is_the_stdlib_indent_dump(capsys, a, d):
             continue
         assert code == 0, (leaf, err)
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", leaf
+
+
+def record_dicts(records):
+    """The records as the JSON payload of ``apery`` holds them."""
+    return [{**r._asdict(), "expansion": list(r.expansion)} for r in records]
+
+
+# past the 30 columns apery_table certifies one by one, and up to the largest tables; every pair is coprime
+@pytest.mark.parametrize("a, d", [(a, d) for a in (30, 31, 137, 997) for d in (1, 7, 40 * a - 1)])
+def test_column_rendered_output_is_the_stdlib_indent_dump(capsys, a, d):
+    seed, argv = ArithmeticSeed(a, d), ["--a", str(a), "--d", str(d)]
+    table = apery_table(seed)
+    rows = [list(r) for r in table.rows]
+    expected = {"apery": record_dicts(apery_records(seed)), "table": {"rows": rows, "top": table.top},
+                "cone": cone_to_json(table)}
+    for leaf, payload in expected.items():
+        code, out, err = run(capsys, leaf, *argv)
+        assert (code, err) == (0, ""), leaf
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", leaf
+        assert json.loads(out)["payload"] == payload, leaf
+    code, out, _ = run(capsys, "table", *argv, "--format", "csv")
+    assert out == "".join(",".join(map(str, row)) + "\n" for row in table.rows)
+
+
+@pytest.mark.parametrize("pad", ["\n", "\n    "])
+def test_record_renderer_writes_the_stdlib_dump_of_the_record_dicts(pad):
+    for a, d in [(11, 2), (31, 7), (137, 40 * 137 - 1)]:
+        records = apery_records(ArithmeticSeed(a, d))
+        assert _records_json(records, pad) == json.dumps(record_dicts(records), indent=2,
+                                                         sort_keys=True).replace("\n", pad)
+
+
+@pytest.mark.parametrize("pad", [None, "\n", "\n    "])
+def test_row_renderer_writes_the_stdlib_dump_of_the_rows(pad):
+    for a, d in [(11, 2), (31, 7), (137, 40 * 137 - 1)]:
+        table = apery_table(ArithmeticSeed(a, d))
+        rows = [list(r) for r in table.rows]
+        expected = json.dumps(rows) if pad is None else json.dumps(rows, indent=2).replace("\n", pad)
+        assert _rows_json(table, pad) == expected
+
+
+@pytest.mark.parametrize("value, cell", [
+    ((1, 2), "[1, 2]"), ([1, (2, 3)], "[1, [2, 3]]"), ({"k": (1, True)}, '{"k": [1, true]}'), ((), "[]"),
+    (7, "7"), (True, "True"), ("x, y", "x, y"),
+])
+def test_csv_cell_writes_containers_as_json(value, cell):
+    assert _cell(value) == cell
 
 
 def parsed(capsys, parser, argv):
