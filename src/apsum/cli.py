@@ -13,21 +13,18 @@ emits the envelope under the leaf's name.  A handler computes its result
 once and returns (payload, exit code, text), where text maps "csv" or
 "table" to a zero-argument renderer for a format the payload cannot render
 generically.  Only the requested format is rendered: json is the envelope;
-csv is a header plus one row per record of a list payload, or one row for a
-dict payload, with list, tuple and dict cells written as JSON; table is one
-"key: value" line per field.  JSON is written byte for byte as
-``json.dumps(envelope, indent=2, sort_keys=True)`` would write it; the table
-rows are joined from columns of cell strings and each Apery record fills one
-%-template, everything else goes through ``_json``.  A query
-builds one parser per word it names (top, group, leaf); every other word is
-a choice with its help line and no parser behind it.
+csv is a header and a row per record, or one row for a dict payload, with
+containers as JSON (``table`` prints bare rows); table is a "key: value" line
+per field.  JSON and CSV are byte for byte what ``json.dumps(indent=2,
+sort_keys=True)`` and ``csv.writer`` (lineterminator "\\n") write; a CSV cell
+holding ``,``, ``"`` or a newline is quoted, inner ``"`` doubled.  Table text
+joins the cells of ``AperyTable.columns`` and a record fills a %-template;
+the rest goes through ``_json``.  A query builds a parser per word it names.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -104,11 +101,9 @@ def _json(value, pad: str = "\n") -> str:
     return value(pad) if callable(value) else json.dumps(value)
 
 
-def _row_text(table, sep: str):
-    """The rows, cells joined by ``sep``, zipped from columns: str(w_n) once through o_n, then the climb."""
-    a, top = len(table.values), table.top
-    return map(sep.join, zip(*[(str(w),) * (o + 1) + tuple(map(str, range(w + a, w + (top - o) * a + 1, a)))
-                               for w, o in zip(table.values, table.orders)]))
+def _row_text(table, sep: str, cell=str):
+    """The rows zipped from the table's columns of ``cell`` strings, cells joined by ``sep``."""
+    return map(sep.join, zip(*table.columns(cell)))
 
 
 def _rows_json(table, pad: str | None = None) -> str:
@@ -143,11 +138,12 @@ def _render(envelope: dict, fmt: str, text: dict) -> str:
 def _csv(payload) -> str:
     records = [payload] if isinstance(payload, dict) else payload
     keys = list(records[0])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    writer.writerows([_cell(row[k]) for k in keys] for row in records)
-    return buf.getvalue()
+    rows = [keys, *([_cell(r[k]) for k in keys] for r in records)]
+    return "".join(",".join(map(_quoted, row)) + "\n" for row in rows)
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell or "\n" in cell else cell
 
 
 def _cell(value) -> str:
@@ -261,7 +257,7 @@ def _cmd_table(seed, args):
     payload = {"rows": partial(_rows_json, table), "top": table.top}
     return payload, EXIT_OK, {
         "csv": lambda: "\n".join(_row_text(table, ",")) + "\n",
-        "table": lambda: "".join(" ".join(f"{v:5d}" for v in row) + "\n" for row in table.rows),
+        "table": lambda: "\n".join(_row_text(table, " ", "{:5d}".format)) + "\n",
     }
 
 

@@ -34,7 +34,7 @@ from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark t
 class AperyTable:
     """The certified table of a seed: row 0, the column orders and their
     histogram.  Row s at column n is values[n] + max(0, s - orders[n]) * a,
-    a the number of columns."""
+    a the number of columns; ``columns`` is the one place this is written."""
 
     seed: ArithmeticSeed
     values: tuple[int, ...]  # row 0: the Apery set in column order
@@ -62,12 +62,15 @@ class AperyTable:
         """
         return self.seed.a // 10 + 1
 
+    def columns(self, cell) -> list[tuple]:
+        """Column n as ``cell`` of its entries: cell(w_n), made once, through row o_n, then the climb by a."""
+        a, top = len(self.values), self.top
+        return [(cell(w),) * (o + 1) + tuple(map(cell, range(w + a, w + (top - o) * a + 1, a)))
+                for w, o in zip(self.values, self.orders)]
+
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        # column n holds values[n] through its order, then climbs by a to row top
-        a, top = len(self.values), self.top
-        return tuple(zip(*((w,) * o + tuple(range(w, w + (top - o) * a + 1, a))
-                           for w, o in zip(self.values, self.orders))))
+        return tuple(zip(*self.columns(int)))
 
 
 def apery_table(seed: ArithmeticSeed) -> AperyTable:

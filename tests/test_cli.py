@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ import apsum.cone
 import apsum.frobenius
 from apsum import (ArithmeticSeed, DomainError, apery_records, apery_table, cone_to_json, order_oracle,
                    partial_sum_generators, strip_timing)
-from apsum.cli import _cell, _jobs, _json, _records_json, _rows_json, build_parser, main
+from apsum.cli import _cell, _csv, _jobs, _json, _records_json, _rows_json, build_parser, main
 from apsum.cone import AperyTable
 from apsum.family import AperyRecord
 from apsum.ideal import GastingerReport
@@ -580,6 +581,18 @@ def record_dicts(records):
     return [{**r._asdict(), "expansion": list(r.expansion)} for r in records]
 
 
+def stdlib_csv(payload) -> str:
+    """What ``csv.writer`` writes for a dict or list-of-dict payload: the header, then the records, containers as JSON."""
+    records = [payload] if isinstance(payload, dict) else payload
+    keys = list(records[0])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([json.dumps(r[k]) if isinstance(r[k], (list, tuple, dict)) else r[k] for k in keys]
+                     for r in records)
+    return buf.getvalue()
+
+
 # past the 30 columns apery_table certifies one by one, and up to the largest tables; every pair is coprime
 @pytest.mark.parametrize("a, d", [(a, d) for a in (30, 31, 137, 997) for d in (1, 7, 40 * a - 1)])
 def test_column_rendered_output_is_the_stdlib_indent_dump(capsys, a, d):
@@ -595,6 +608,12 @@ def test_column_rendered_output_is_the_stdlib_indent_dump(capsys, a, d):
         assert json.loads(out)["payload"] == payload, leaf
     code, out, _ = run(capsys, "table", *argv, "--format", "csv")
     assert out == "".join(",".join(map(str, row)) + "\n" for row in table.rows)
+    code, out, err = run(capsys, "table", *argv, "--format", "table")
+    assert (code, err) == (0, "")
+    assert out == "".join(" ".join(f"{v:5d}" for v in row) + "\n" for row in table.rows)
+    code, out, err = run(capsys, "cone", *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == stdlib_csv(cone_to_json(table))
 
 
 @pytest.mark.parametrize("pad", ["\n", "\n    "])
@@ -612,6 +631,35 @@ def test_row_renderer_writes_the_stdlib_dump_of_the_rows(pad):
         rows = [list(r) for r in table.rows]
         expected = json.dumps(rows) if pad is None else json.dumps(rows, indent=2).replace("\n", pad)
         assert _rows_json(table, pad) == expected
+
+
+# strings holding the characters a CSV cell is quoted for; a top-level cell holds no raw CR, as no CLI cell
+# does (JSON escapes it), so the test does not depend on how a CPython version's csv.writer treats one
+CSV_TEXT = st.text(st.characters() | st.sampled_from(',"\n'))
+CSV_LABELS = st.text(st.characters(exclude_characters="\r") | st.sampled_from(',"\n'), min_size=1)
+CSV_SCALARS = (st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64) | st.booleans()
+               | st.just("infinite"))
+CSV_CONTAINERS = st.recursive(
+    st.lists(CSV_SCALARS | CSV_TEXT),
+    lambda inner: st.lists(inner | CSV_SCALARS | CSV_TEXT) | st.lists(inner).map(tuple)
+    | st.dictionaries(CSV_TEXT, inner | CSV_SCALARS | CSV_TEXT),
+    max_leaves=6,
+)
+CSV_CELLS = CSV_SCALARS | CSV_LABELS | CSV_CONTAINERS
+
+
+def csv_records(keys):
+    return st.fixed_dictionaries(dict.fromkeys(keys, CSV_CELLS))
+
+
+CSV_PAYLOADS = st.lists(CSV_LABELS, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: csv_records(keys) | st.lists(csv_records(keys), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(CSV_PAYLOADS)
+def test_csv_renderer_writes_what_csv_writer_writes(payload):
+    assert _csv(payload) == stdlib_csv(payload)
 
 
 @pytest.mark.parametrize("value, cell", [

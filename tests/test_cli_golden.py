@@ -1,8 +1,8 @@
 """Golden CLI output: sha256 of [exit code, stdout, stderr] per invocation.
 
 Covers every seed subcommand (with its --oracle / --strict-21 variants) in
-each output format at four seeds, the table, cone and apery JSON at
-(1000, 7), and two refusals.  The digests live in ``golden_cli.json``;
+each output format at four seeds; at (1000, 7) the table, cone and apery
+JSON, the table as text and as CSV, and the cone as CSV; and two refusals.  The digests live in ``golden_cli.json``;
 rewrite them with ``PYTHONPATH=src python tests/test_cli_golden.py`` only
 when an output is meant to change.
 """
@@ -49,6 +49,9 @@ def _cases() -> list[list[str]]:
     cases.append(["table", "--a", "1000", "--d", "7"])
     cases.append(["cone", "--a", "1000", "--d", "7"])
     cases.append(["apery", "--a", "1000", "--d", "7"])
+    cases.append(["table", "--a", "1000", "--d", "7", "--format", "table"])
+    cases.append(["table", "--a", "1000", "--d", "7", "--format", "csv"])
+    cases.append(["cone", "--a", "1000", "--d", "7", "--format", "csv"])
     cases.append(["info", "--a", "12", "--d", "2"])  # not coprime: exit 3
     cases.append(["pf", "--a", "10", "--d", "3"])  # below the minimality threshold: exit 3
     return cases
