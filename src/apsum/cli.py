@@ -103,7 +103,7 @@ def _json(value, pad: str = "\n") -> str:
 
 def _row_text(table, sep: str, cell=str):
     """The rows zipped from the table's columns of ``cell`` strings, cells joined by ``sep``."""
-    return map(sep.join, zip(*table.columns(cell)))
+    return map(sep.join, zip(*table.columns(lambda ints: tuple(map(cell, ints)))))
 
 
 def _rows_json(table, pad: str | None = None) -> str:

@@ -62,15 +62,15 @@ class AperyTable:
         """
         return self.seed.a // 10 + 1
 
-    def columns(self, cell) -> list[tuple]:
-        """Column n as ``cell`` of its entries: cell(w_n), made once, through row o_n, then the climb by a."""
+    def columns(self, render) -> list[tuple]:
+        """Column n: render((w_n,)), made once, through row o_n, then render(the climb by a); ints to cell tuples."""
         a, top = len(self.values), self.top
-        return [(cell(w),) * (o + 1) + tuple(map(cell, range(w + a, w + (top - o) * a + 1, a)))
+        return [render((w,)) * (o + 1) + render(range(w + a, w + (top - o) * a + 1, a))
                 for w, o in zip(self.values, self.orders)]
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.columns(int)))
+        return tuple(zip(*self.columns(tuple)))
 
 
 def apery_table(seed: ArithmeticSeed) -> AperyTable:

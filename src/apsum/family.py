@@ -19,6 +19,7 @@ verdict reads it and compares it with the oracle, and nothing asserts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -125,32 +126,39 @@ def require_closed_form(seed: ArithmeticSeed) -> None:
         raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
 
 
+# classes 0..19 expanded once: (multiplier of a, the (2, 3, 4, 5)-weighted degree; order; expansion)
+_CLASSES = tuple((2 * c2 + 3 * c3 + 4 * c4 + 5 * c5, c2 + c3 + c4 + c5, (c2, c3, c4, c5))
+                 for c2, c3, c4, c5 in map(canonical_expansion, range(20)))
+
+
 def _record(a: int, d: int, n: int) -> AperyRecord:
-    # the class rule: class n expanded once; generator k is k*a + C(k, 2)*d, so
-    # the multiplier of a is the (2, 3, 4, 5)-weighted degree
-    exp = canonical_expansion(n)
-    c2, c3, c4, c5 = exp
-    mult = 2 * c2 + 3 * c3 + 4 * c4 + 5 * c5
-    value = mult * a + n * d
-    return AperyRecord(n, mult, value, value - a, sum(exp), exp)
+    """The record of class n >= 0, read off the period: by ``canonical_expansion``'s
+    order rule class n >= 20 is table class n - 10j, 10 <= n - 10j < 20, plus j generators 5."""
+    j = max(0, n // 10 - 1)
+    mult, order, (c2, c3, c4, c5) = _CLASSES[n - 10 * j]
+    value = (mult + 5 * j) * a + n * d
+    return AperyRecord(n, mult + 5 * j, value, value - a, order + j, (c2, c3, c4, c5 + j))
 
 
 def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     """Closed-form Apery set of the five-generator semigroup, classes 1..a-1.
 
-    Classes 1..19 are expanded; by ``canonical_expansion``'s order rule each class
-    n >= 20 is class n - 10 plus generator 5 (multiplier + 5, value and gap + 5a + 10d,
-    order and c5 + 1), so the cost is O(a).  Fails loudly outside ``require_closed_form``.
+    Filled along the period: class n + 10 is class n plus generator 5 from class 10 on
+    (multiplier + 5, value and gap + g_5, order and c5 + 1), so for each r in 10..19 the
+    classes r, r + 10, ... are zipped from ``range`` columns into records at C speed, with
+    no Python frame per record, O(a).  Fails loudly outside ``require_closed_form``.
     """
     require_closed_form(seed)
-    a, g5 = seed.a, partial_sum_generators(seed)[4]
-    records = [None] * (a - 1)  # sized first, so an a too large to list fails here, not mid-loop
-    for n in range(1, min(a, 20)):
-        records[n - 1] = _record(a, seed.d, n)
-    for n in range(20, a):
-        p = records[n - 11]
-        c2, c3, c4, c5 = p.expansion
-        records[n - 1] = AperyRecord(n, p.multiplier + 5, p.value + g5, p.gap + g5, p.order + 1, (c2, c3, c4, c5 + 1))
+    a, d, g5 = seed.a, seed.d, partial_sum_generators(seed)[4]
+    records = [None] * (a - 1)  # sized first, so an a too large to list fails here, not mid-fill
+    records[:9] = [_record(a, d, n) for n in range(1, 10)]
+    for r in range(10, min(a, 20)):
+        _, m, v, gap, o, (c2, c3, c4, c5) = _record(a, d, r)
+        k = len(range(r, a, 10))
+        # AperyRecord._make's own step, tuple.__new__ over the zipped columns
+        records[r - 1::10] = map(tuple.__new__, repeat(AperyRecord), zip(
+            range(r, a, 10), range(m, m + 5 * k, 5), range(v, v + g5 * k, g5), range(gap, gap + g5 * k, g5),
+            range(o, o + k), zip(repeat(c2), repeat(c3), repeat(c4), range(c5, c5 + k))))
     return records
 
 

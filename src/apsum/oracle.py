@@ -86,17 +86,21 @@ def apery_oracle(gens, c: int) -> list[int]:
         k = gcd(c, step)
         for first in range(k):
             # the cycle of first is first, first + k, first + 2k, ... (mod c)
-            r = min(range(first, c, k), key=out.__getitem__)
-            if out[r] == unset:
+            cycle = out[first::k]
+            cur = min(cycle)
+            if cur == unset:
                 continue
+            r = first + k * cycle.index(cur)  # cur carries the entry just relaxed
             for _ in range(c // k - 1):
-                nxt = r + step
-                if nxt >= c:
-                    nxt -= c
-                via = out[r] + x
-                if via < out[nxt]:
-                    out[nxt] = via
-                r = nxt
+                r += step
+                if r >= c:
+                    r -= c
+                cur += x
+                known = out[r]
+                if known < cur:
+                    cur = known
+                else:
+                    out[r] = cur
     return out
 
 

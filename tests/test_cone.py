@@ -83,6 +83,17 @@ def reference_apery_table(seed):
     return tuple(rows), level, orders
 
 
+@pytest.mark.parametrize("a,d", [(11, 2), (21, 1), (137, 5479), (1000, 7)])
+def test_rows_are_the_table_formula_cell_by_cell(a, d):
+    # row s at column n is w_n + max(0, s - o_n) * a, each cell an exact int
+    table = apery_table(ArithmeticSeed(a, d))
+    assert len(table.rows) == table.top + 1
+    for s, row in enumerate(table.rows):
+        assert type(row) is tuple and len(row) == a
+        for w, o, cell in zip(table.values, table.orders, row):
+            assert type(cell) is int and cell == w + max(0, s - o) * a, (s, w, o)
+
+
 def with_guard(table):
     """(rows, guard row, orders) of a table: past its top row every column climbs
     by a, so the guard row is the last row plus a, to match the references."""

@@ -174,8 +174,8 @@ def test_apery_records_below_threshold():
 
 
 def test_apery_records_follow_the_order_rule_class_for_class():
-    # classes >= 20 are built by the order rule from class n - 10; each must
-    # equal its direct expansion in every field and in hash
+    # the records filled along the period must equal _record's class for class,
+    # in every field and in hash; the next test holds _record to canonical_expansion
     seeds = [(a, d) for a in range(11, 401) for d in (1, 7, 40 * a - 1) if gcd(a, d) == 1]
     seeds += [(a, 7) for a in (999, 1000, 3001)]
     for a, d in seeds:
@@ -185,9 +185,27 @@ def test_apery_records_follow_the_order_rule_class_for_class():
         assert list(map(hash, got)) == list(map(hash, expected)), (a, d)
 
 
+@pytest.mark.parametrize("a,d", [(11, 2), (347, 7), (1000, 39999)])
+def test_record_reads_the_canonical_expansion_of_every_class(a, d):
+    # _record reads the class table and the period; the reference expands each class
+    for n in range(20_000):
+        exp = canonical_expansion(n)
+        mult = sum(k * c for k, c in zip((2, 3, 4, 5), exp))
+        value = mult * a + n * d
+        assert _record(a, d, n) == (n, mult, value, value - a, sum(exp), exp), n
+
+
+@pytest.mark.parametrize("a", [347, 1000])
+def test_apery_record_fields_are_exact_ints(a):
+    for rec in apery_records(ArithmeticSeed(a, 7)):
+        assert all(type(x) is int for x in rec[:5]), rec
+        assert type(rec.expansion) is tuple and len(rec.expansion) == 4, rec
+        assert all(type(c) is int for c in rec.expansion), rec
+
+
 @pytest.mark.parametrize("n", [1, 12, 19, 20, 22, 332])
 def test_apery_record_is_an_immutable_named_tuple(n):
-    # classes below 20 come from _record, the others from the order-rule step
+    # class 1 comes from _record, 12 and 19 start their residue's progression, 20, 22 and 332 lie along it
     rec = apery_records(ArithmeticSeed(347, 7))[n - 1]
     plain = AperyRecord(*rec)
     assert type(rec) is AperyRecord
