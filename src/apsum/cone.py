@@ -6,11 +6,11 @@ free over the fiber cone exactly when every column stays flat through the
 order of its Apery class and then climbs by a, guard row included.
 ``apery_table`` certifies that shape from the closed records against the
 layered DP M^s = gens + M^(s-1), refusing a non-free cone.  One period
-check comes first: when every step into a class m >= 20 adds (g_5, 1), as
-the closed records' steps do, column n >= 30 repeats column n - 10, so the
-per-column check runs on the first 30 columns; otherwise it runs on all of
-them.  The histogram of the certified orders is then checked against the
-class-order rule.  The O(a^2 / 10) rows are built only where they are read.
+check comes first: when every step into a class m >= q + T adds (g_5, 1),
+as by the class rule (``family._class_rule``), column n >= q + 2T repeats
+column n - T, so only the first q + 2T columns are checked; otherwise all
+are.  The certified orders' histogram is then checked against the
+class-order rule.  The O(a^2 / T) rows are built only where they are read.
 As the cone is free, every cone invariant is a view of the table: the
 shifts are the class orders, their histogram ``t_counts`` is the Hilbert
 numerator, and the top order is the reduction number; ``ring_properties``
@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import eq
 
 from .errors import DomainError, VerificationError
-from .family import ArithmeticSeed, apery_records, partial_sum_generators
+from .family import _Q, _T, ArithmeticSeed, apery_records, partial_sum_generators
 from .frobenius import pseudo_frobenius_set
 from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark tracer's self-test
 
@@ -94,27 +94,26 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
     o_n >= 1, as w_n != 0 lies in M.  Columns keep w_n through o_n, so top
     is max o_n.
 
-    Window: by the order rule in ``canonical_expansion`` class m >= 20 is
-    class m - 10 plus generator 5, so w_m - w_(m-10) = g_5 and
-    o_m - o_(m-10) = 1.  If every step into a class m >= 20 keeps this, take
-    n >= 30 (so a > 30 and C(j, 2) mod a = k in {1, 3, 6, 10}): n - k >= 20
-    and n - 10 - k >= 10 index without wrapping, and w, o at n and at each
-    n - k exceed those at n - 10 and n - 10 - k by the same g_5 and 1, so
-    column n has the deltas and gaps of column n - 10 and fails iff it does.
-    The first failing column is then below 30, and checking columns
-    n < min(a, 30) in order raises the same ``nonFreeCone`` as a scan of
-    every column.  If some step breaks the rule, every column is checked in
-    order.  The steps are checked once in O(a) at C speed; the closed records
-    keep the rule, so 30 columns are checked.
+    Window: by the class rule (``family._class_rule``) class m >= q + T is
+    class m - T plus generator 5, so w_m - w_(m-T) = g_5 and o_m - o_(m-T) = 1.
+    If every step into a class m >= q + T keeps this, take n >= q + 2T (so
+    a > q + 2T and C(j, 2) mod a = k <= T): n - k >= q + T and n - T - k >= q
+    index without wrapping, and w, o at n and at each n - k exceed those at
+    n - T and n - T - k by the same g_5 and 1, so column n has the deltas and
+    gaps of column n - T and fails iff it does.  The first failing column is
+    then below q + 2T, and checking columns n < min(a, q + 2T) in order raises
+    the same ``nonFreeCone`` as a scan of every column.  If some step breaks
+    the rule, every column is checked in order.  The steps are checked once in
+    O(a) at C speed; the closed records keep the rule.
     """
     records = apery_records(seed)
     w, o, a = (0, *(rec.value for rec in records)), (0, *(rec.order for rec in records)), seed.a
     # generator 1 passes (i) and (ii) everywhere; w[n - k] wraps to class (n - k) mod a
     steps = [(j * (j - 1) // 2 % a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
-    # the period check: every step into a class m >= 20 adds g_5 to the value and 1 to the order
-    g5 = steps[-1][1]
-    periodic = all(map(eq, w[20:], map(g5.__add__, w[10:]))) and all(map(eq, o[20:], map((1).__add__, o[10:])))
-    for n in range(min(a, 30) if periodic else a):
+    # the period check: every step into a class m >= first = q + T adds g_5 to the value and 1 to the order
+    g5, first = steps[-1][1], _Q + _T
+    periodic = all(map(eq, w[first:], map(g5.__add__, w[_Q:]))) and all(map(eq, o[first:], map((1).__add__, o[_Q:])))
+    for n in range(min(a, _Q + 2 * _T) if periodic else a):
         checks = [(divmod(g + w[n - k] - w[n], a), o[n - k] - o[n]) for k, g in steps]
         if not all(rem == 0 and delta >= max(0, gap + 1) for (delta, rem), gap in checks) or (
                 n and ((0, 0), -1) not in checks):
@@ -141,9 +140,9 @@ def order_histogram_closed(a: int) -> list[int]:
     """Closed-form t_k: the classes 0 <= n < a counted by their order.
 
     Class r <= 9 has order o_r = r % 3 + r % 6 // 3 + r // 6, the sum of its
-    greedy digits.  By the order rule in ``canonical_expansion`` class
-    10j + r, j >= 1, has order o_r + j, less one where r % 3 == 2: there the
-    rewrite (c2 == 2, c5 > 0) trades three generators for two.  So each
+    digits in the mixed radix 10, 6, 3, 1.  Class 10j + r, j >= 1, has order
+    o_r + j, less one where r % 3 == 2: there the least-degree expansion
+    rewrites digits (2, c3, c4, c5) to (0, c3, c4 + 2, c5 - 1).  So each
     residue is one class and one run of consecutive orders, counted by their
     edges in O(a / 10).  It reads no record, so it checks the records' orders.
     Raises ``invalidSeed`` for a < 1.

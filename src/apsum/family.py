@@ -7,12 +7,12 @@ For coprime a, d > 0 the generators are the partial sums
 i.e. a, 2a+d, 3a+3d, 4a+6d, 5a+10d, ...  Generator k is k*a + C(k, 2)*d,
 so an expansion of the class index n writes n as a sum of the triangular
 numbers C(k, 2).  With five generators the Apery set with respect to a
-admits a closed form: with n in the mixed radix 10, 6, 3, 1 (plus one
-rewrite, ``canonical_expansion``), the least member of class n is the
-digit-weighted multiple of a plus n*d, and the digits are its canonical
-expansion over the non-multiplicity generators.  The six-generator analogue
-takes for class n the least degree of an expansion of n over 1, 3, 6, 10, 15
-(``least_degrees``) times a, plus n*d.  It is conjectural: the gamma6 sweep
+admits a closed form: class n's least member is L(n)*a + n*d, L(n) the least
+degree of an expansion of n (``least_degrees``), whose unique expansion is
+the element's.  The class rule (``_class_rule``), read by every closed form,
+is built once at import: from q = 9 on, class n + T, T = C(5, 2) = 10, is
+class n plus one generator 5.  The six-generator analogue takes L(n) over
+1, 3, 6, 10, 15 times a, plus n*d.  It is conjectural: the gamma6 sweep
 verdict reads it and compares it with the oracle, and nothing asserts it.
 """
 
@@ -36,12 +36,12 @@ class ArithmeticSeed:
     m: int = 5
 
     def __post_init__(self):
-        if self.a < 2:
-            raise DomainError("invalidSeed", f"a must be at least 2, got {self.a}")
-        if self.d < 1:
-            raise DomainError("invalidSeed", f"d must be positive, got {self.d}")
-        if self.m < 2:
-            raise DomainError("invalidSeed", f"m must be at least 2, got {self.m}")
+        for name, x, low, need in (("a", self.a, 2, "at least 2"), ("d", self.d, 1, "positive"),
+                                   ("m", self.m, 2, "at least 2")):
+            if not isinstance(x, int):
+                raise DomainError("invalidSeed", f"{name} must be an int, got {x!r}")
+            if x < low:
+                raise DomainError("invalidSeed", f"{name} must be {need}, got {x}")
         if gcd(self.a, self.d) != 1:
             raise DomainError("notCoprime", f"gcd({self.a}, {self.d}) != 1")
 
@@ -53,26 +53,10 @@ def partial_sum_generators(seed: ArithmeticSeed) -> tuple[int, ...]:
 
 
 def canonical_expansion(n: int) -> tuple[int, int, int, int]:
-    """Coefficients (c2, c3, c4, c5) on the non-multiplicity generators.
-
-    Generic expansions are n's digits in the mixed radix 10, 6, 3, 1, so
-    n = 10*c5 + 6*c4 + 3*c3 + c2.  When c2 == 2 and c5 > 0 the rewritten form
-    (0, c3, c4 + 2, c5 - 1) trades two degree-2 generators and one degree-5
-    generator for two degree-4 ones, which lowers the degree (the multiplier
-    of a) by one, and the order by one.
-
-    The order rule: for n >= 10, class n + 10 adds one generator 5 to class
-    n.  Its greedy digits are those of n with c5 one larger, and both have
-    c5 > 0, so the rewrite applies to both or to neither.
-    """
+    """Coefficients (c2, c3, c4, c5) of class n's least-degree expansion, by the class rule."""
     if n < 0:
         raise DomainError("invalidElement", "canonical expansions need n >= 0")
-    c5, r = divmod(n, 10)
-    c4, r = divmod(r, 6)
-    c3, c2 = divmod(r, 3)
-    if c2 == 2 and c5 > 0:
-        return (0, c3, c4 + 2, c5 - 1)
-    return (c2, c3, c4, c5)
+    return _record(0, 0, n).expansion
 
 
 class AperyRecord(NamedTuple):
@@ -110,11 +94,7 @@ def minimality_check(seed: ArithmeticSeed) -> bool:
 
 
 def has_closed_form(seed: ArithmeticSeed) -> bool:
-    """Whether the five-generator closed forms cover the seed.
-
-    They need m == 5 and minimal generators (a >= 11): below that the
-    formulas have no backing.
-    """
+    """Whether the five-generator closed forms cover the seed: m == 5 and minimal generators (a >= 11)."""
     return seed.m == 5 and minimality_check(seed)
 
 
@@ -126,39 +106,81 @@ def require_closed_form(seed: ArithmeticSeed) -> None:
         raise DomainError("belowMinimalityThreshold", f"closed form needs a >= 11, got a == {seed.a}")
 
 
-# classes 0..19 expanded once: (multiplier of a, the (2, 3, 4, 5)-weighted degree; order; expansion)
-_CLASSES = tuple((2 * c2 + 3 * c3 + 4 * c4 + 5 * c5, c2 + c3 + c4 + c5, (c2, c3, c4, c5))
-                 for c2, c3, c4, c5 in map(canonical_expansion, range(20)))
+def least_degrees(m: int, top: int) -> list[int]:
+    """Entry n, 0 <= n <= top: the least degree sum k*c_k over c_2..c_m >= 0
+    with sum c_k*C(k, 2) = n.
+
+    Generator k is k*a + C(k, 2)*d, so entry n times a, plus n*d, is the
+    least value an expansion of class index n can reach.  A coin DP over the
+    coins C(k, 2) with weights k, O(m * top).
+    """
+    least = list(range(0, 2 * top + 1, 2))  # n ones: C(2, 2) = 1 at degree 2
+    for k in range(3, m + 1):
+        coin = k * (k - 1) // 2
+        for n in range(coin, top + 1):
+            least[n] = min(least[n], least[n - coin] + k)
+    return least
+
+
+def _class_rule(m: int) -> tuple[int, int, tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """The class rule of m generators: the period T = C(m, 2), its start q and the
+    table of classes n < q + T, entry n (least degree, order, expansion c_2..c_m).
+
+    With L = ``least_degrees(m, .)``, q is the least start with L(n + T) = L(n) + m
+    for q <= n < q + T; this one window proves the step for every n >= q.  Each
+    L(N) is the least L(N - C(k, 2)) + k over k = 2..m with C(k, 2) <= N, so it
+    reads only entries at most T back.  For N >= q + T every k is allowed at N
+    and at N + T, and each N - C(k, 2) lies in [q, N), so by induction on N,
+    L(N + T) = min L(N - C(k, 2) + T) + k = L(N) + m.  Class n is class
+    n - C(k, 2) plus generator k, for the largest k with L(n - C(k, 2)) + k = L(n);
+    for class n + T, n >= q, that is k = m, so it is class n plus one generator m:
+    degree + m, order + 1, c_m + 1.  At m = 5 the expansions are unique, T = 10, q = 9.
+    """
+    coin = [k * (k - 1) // 2 for k in range(m + 1)]
+    T = coin[m]
+    least = least_degrees(m, 3 * T)
+    q = next(q for q in range(T + 1) if all(least[n + T] == least[n] + m for n in range(q, q + T)))
+    classes = [(0, 0, (0,) * (m - 1))]
+    for n in range(1, q + T):
+        k = max(k for k in range(2, m + 1) if coin[k] <= n and least[n - coin[k]] + k == least[n])
+        _, order, exp = classes[n - coin[k]]
+        classes.append((least[n], order + 1, (*exp[:k - 2], exp[k - 2] + 1, *exp[k - 1:])))
+    return T, q, tuple(classes)
+
+
+_M = 5
+_T, _Q, _CLASSES = _class_rule(_M)
 
 
 def _record(a: int, d: int, n: int) -> AperyRecord:
-    """The record of class n >= 0, read off the period: by ``canonical_expansion``'s
-    order rule class n >= 20 is table class n - 10j, 10 <= n - 10j < 20, plus j generators 5."""
-    j = max(0, n // 10 - 1)
-    mult, order, (c2, c3, c4, c5) = _CLASSES[n - 10 * j]
-    value = (mult + 5 * j) * a + n * d
-    return AperyRecord(n, mult + 5 * j, value, value - a, order + j, (c2, c3, c4, c5 + j))
+    """The record of class n >= 0: table class n - T*j plus j generators m, by the class rule."""
+    j = (n - _Q) // _T if n >= _Q else 0
+    mult, order, exp = _CLASSES[n - _T * j]
+    mult += _M * j
+    value = mult * a + n * d
+    return AperyRecord(n, mult, value, value - a, order + j, exp[:-1] + (exp[-1] + j,))
 
 
 def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:
     """Closed-form Apery set of the five-generator semigroup, classes 1..a-1.
 
-    Filled along the period: class n + 10 is class n plus generator 5 from class 10 on
-    (multiplier + 5, value and gap + g_5, order and c5 + 1), so for each r in 10..19 the
-    classes r, r + 10, ... are zipped from ``range`` columns into records at C speed, with
-    no Python frame per record, O(a).  Fails loudly outside ``require_closed_form``.
+    Filled along the period: by the class rule class n + T, n >= q, is class n plus
+    generator m (multiplier + m, value and gap + g_m, order and c_m + 1), so for each
+    r in q..q+T-1 the classes r, r + T, ... are zipped from ``range`` columns into records
+    at C speed, with no Python frame per record, O(a).  Fails loudly outside
+    ``require_closed_form``.
     """
     require_closed_form(seed)
-    a, d, g5 = seed.a, seed.d, partial_sum_generators(seed)[4]
+    a, d, m, gm = seed.a, seed.d, seed.m, partial_sum_generators(seed)[-1]
     records = [None] * (a - 1)  # sized first, so an a too large to list fails here, not mid-fill
-    records[:9] = [_record(a, d, n) for n in range(1, 10)]
-    for r in range(10, min(a, 20)):
-        _, m, v, gap, o, (c2, c3, c4, c5) = _record(a, d, r)
-        k = len(range(r, a, 10))
+    records[:_Q - 1] = [_record(a, d, n) for n in range(1, _Q)]
+    for r in range(_Q, min(a, _Q + _T)):
+        _, mult, v, gap, o, exp = _record(a, d, r)
+        k = len(range(r, a, _T))
         # AperyRecord._make's own step, tuple.__new__ over the zipped columns
-        records[r - 1::10] = map(tuple.__new__, repeat(AperyRecord), zip(
-            range(r, a, 10), range(m, m + 5 * k, 5), range(v, v + g5 * k, g5), range(gap, gap + g5 * k, g5),
-            range(o, o + k), zip(repeat(c2), repeat(c3), repeat(c4), range(c5, c5 + k))))
+        records[r - 1::_T] = map(tuple.__new__, repeat(AperyRecord), zip(
+            range(r, a, _T), range(mult, mult + m * k, m), range(v, v + gm * k, gm),
+            range(gap, gap + gm * k, gm), range(o, o + k), zip(*map(repeat, exp[:-1]), range(exp[-1], exp[-1] + k))))
     return records
 
 
@@ -229,24 +251,3 @@ def uniqueness_check(gens, c: int) -> UniquenessReport:
     violations = tuple(UniquenessViolation(w, n, tuple(expansions(0, w)))
                        for w, n in suffix[0].items() if n != 1)
     return UniquenessReport(not violations, violations)
-
-
-# ----------------------------------------------------------------------
-# six-generator conjectural formula, read by the gamma6 sweep verdict
-# ----------------------------------------------------------------------
-
-def least_degrees(m: int, top: int) -> list[int]:
-    """Entry n, 0 <= n <= top: the least degree sum k*c_k over c_2..c_m >= 0
-    with sum c_k*C(k, 2) = n.
-
-    Generator k is k*a + C(k, 2)*d, so entry n times a, plus n*d, is the
-    least value an expansion of class index n can reach.  A coin DP over the
-    coins C(k, 2) with weights k, O(m * top).
-    """
-    least = list(range(0, 2 * top + 1, 2))  # n ones: C(2, 2) = 1 at degree 2
-    for k in range(3, m + 1):
-        coin = k * (k - 1) // 2
-        for n in range(coin, top + 1):
-            least[n] = min(least[n], least[n - coin] + k)
-    return least
-

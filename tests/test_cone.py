@@ -24,6 +24,7 @@ from apsum import (
     partial_sum_generators,
     ring_properties,
 )
+from apsum.family import _Q, _T
 from apsum.oracle import orders_up_to
 
 SEED_11_2 = ArithmeticSeed(11, 2)
@@ -197,21 +198,23 @@ def test_perturbed_record_is_refused(drawn):
 
 @pytest.mark.parametrize("a,d", [(31, 2), (37, 1), (42, 11), (59, 7), (100, 3), (157, 40 * 157 - 1), (300, 7)])
 def test_shifted_progression_is_refused_in_the_window(a, d):
-    # shifting a whole residue progression (class 10 + r and every 10th class
-    # after it) by one order or by a keeps every step into a class m >= 20 on
-    # the order rule, so apery_table checks only its 30-column window and must
-    # name the column a scan of every column names.  Such shifts first fail
-    # below column 20 (all 19,110 at 31 <= a < 160, d in 1, 2, 3, 7, 11,
-    # 40a - 1, in a probe), so no test pins the bound 30: the proof in
-    # apery_table's docstring does.
+    # shifting a whole residue progression (class q + r and every T-th class
+    # after it, T and q the class rule's period and start) by one order or by a
+    # keeps every step into a class m >= q + T on the rule, so apery_table checks
+    # only its (q + 2T)-column window and must name the column a scan of every
+    # column names.  Such shifts first fail below column q + T = 19 (all 19,110
+    # at 31 <= a < 160, d in 1, 2, 3, 7, 11, 40a - 1, in a probe), so no test
+    # pins the bound q + 2T: the proof in apery_table's docstring does.
+    T, q = _T, _Q
     seed = ArithmeticSeed(a, d)
     g5 = partial_sum_generators(seed)[4]
-    for r in range(10):
+    for r in range(T):
         for field, step in (("order", 1), ("order", -1), ("value", a)):
             records = apery_records(seed)
-            for n in range(10 + r, a, 10):
+            for n in range(q + r, a, T):
                 records[n - 1] = records[n - 1]._replace(**{field: getattr(records[n - 1], field) + step})
-            assert all(q.value - p.value == g5 and q.order - p.order == 1 for p, q in zip(records[9:], records[19:]))
+            assert all(y.value - x.value == g5 and y.order - x.order == 1
+                       for x, y in zip(records[q - 1:], records[q + T - 1:]))
             column = first_failing_column(seed, records)
             assert column is not None
             with mock.patch.object(apsum.cone, "apery_records", lambda _: records):

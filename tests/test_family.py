@@ -27,6 +27,9 @@ from apsum import (
     uniqueness_check,
 )
 from apsum.family import (
+    _CLASSES,
+    _Q,
+    _T,
     AperyRecord,
     UniquenessReport,
     UniquenessViolation,
@@ -47,10 +50,15 @@ def test_non_coprime_seed_rejected():
     assert err.value.code == "notCoprime"
 
 
-@pytest.mark.parametrize("a,d", [(1, 1), (0, 1), (5, 0), (5, -1)])
-def test_seed_below_a2_or_d1_rejected(a, d):
+@pytest.mark.parametrize(
+    "a,d,m",
+    [(1, 1, 5), (0, 1, 5), (5, 0, 5), (5, -1, 5), (11, 2, 5.0), (11.0, 2, 5), ("11", 2, 5)],
+    ids=["1-1", "0-1", "5-0", "5--1", "11-2-5.0", "11.0-2", "str11-2"],
+)
+def test_seed_below_a2_or_d1_rejected(a, d, m):
+    # a non-int a, d or m is refused as well: m = 5.0 would pass m == 5
     with pytest.raises(DomainError) as err:
-        ArithmeticSeed(a, d)
+        ArithmeticSeed(a, d, m)
     assert err.value.code == "invalidSeed"
 
 
@@ -116,13 +124,27 @@ def test_triangular_forms_match_the_mixed_radix_references():
 
 
 def test_least_degrees_five_is_the_canonical_degree():
-    # Both sides gain 5 when n grows by 10.  From n = 10 on, the canonical expansion gains one
-    # generator 5 and keeps its rewrite case.  The DP does from n = 9 on: each entry reads
+    # Both sides gain 5 when n grows by 10.  From n = 10 on, the mixed-radix reference gains
+    # one generator 5 and keeps its rewrite case.  The DP does from n = 9 on: each entry reads
     # entries at most 10 back, so the step checked on n = 9..28 carries to every later n.
     # Agreement on n < 20 therefore holds for every n; the range below covers both.
     least5 = least_degrees(5, 19_999)
     for n in range(20_000):
-        assert least5[n] == sum(map(mul, canonical_expansion(n), count(2))), n
+        assert least5[n] == sum(map(mul, _reference_expansion(n), count(2))), n
+
+
+def test_class_rule_at_five_is_pinned():
+    # T = C(5, 2) = 10 and q = 9, the least start of the T-window identity; the identity
+    # holds on least_degrees(5, q + 2T), and each of the q + T table classes is the
+    # mixed-radix reference with its degree and order
+    T, q = _T, _Q
+    assert (T, q, len(_CLASSES)) == (10, 9, q + T)
+    least = least_degrees(5, q + 2 * T)
+    assert all(least[n + T] == least[n] + 5 for n in range(q, len(least) - T))
+    assert all(any(least[n + T] != least[n] + 5 for n in range(p, p + T)) for p in range(q))
+    for n, entry in enumerate(_CLASSES):
+        exp = _reference_expansion(n)
+        assert entry == (sum(map(mul, exp, count(2))), sum(exp), exp), n
 
 
 @pytest.mark.parametrize(
@@ -175,7 +197,7 @@ def test_apery_records_below_threshold():
 
 def test_apery_records_follow_the_order_rule_class_for_class():
     # the records filled along the period must equal _record's class for class,
-    # in every field and in hash; the next test holds _record to canonical_expansion
+    # in every field and in hash; the next test holds _record to _reference_expansion
     seeds = [(a, d) for a in range(11, 401) for d in (1, 7, 40 * a - 1) if gcd(a, d) == 1]
     seeds += [(a, 7) for a in (999, 1000, 3001)]
     for a, d in seeds:
@@ -187,9 +209,9 @@ def test_apery_records_follow_the_order_rule_class_for_class():
 
 @pytest.mark.parametrize("a,d", [(11, 2), (347, 7), (1000, 39999)])
 def test_record_reads_the_canonical_expansion_of_every_class(a, d):
-    # _record reads the class table and the period; the reference expands each class
+    # _record reads the class table and the period; the mixed-radix reference expands each class
     for n in range(20_000):
-        exp = canonical_expansion(n)
+        exp = _reference_expansion(n)
         mult = sum(k * c for k, c in zip((2, 3, 4, 5), exp))
         value = mult * a + n * d
         assert _record(a, d, n) == (n, mult, value, value - a, sum(exp), exp), n

@@ -16,7 +16,7 @@ from apsum import (
     pseudo_frobenius_oracle,
     pseudo_frobenius_set,
 )
-from apsum.family import least_degrees
+from apsum.family import _Q, _T, least_degrees
 
 
 def test_small_a_example():
@@ -74,7 +74,7 @@ def test_deep_frobenius_residues():
 
 
 def test_maximal_classes_lie_in_the_window():
-    # the maximality rule on every class, not only the window {1..9} | {a-10..a-1}
+    # the maximality rule on every class, not only the window {1..q-1} | {a-T..a-1}
     # that pseudo_frobenius_set tests: no maximal class lies outside it.  The Apery
     # values come from the least-degree DP, which equals the closed form's degree
     least = least_degrees(5, 299)
@@ -86,7 +86,7 @@ def test_maximal_classes_lie_in_the_window():
             value = [least[n] * a + n * d for n in range(a)]
             steps = [(k * a + k * (k - 1) // 2 * d, k * (k - 1) // 2) for k in range(2, 6)]
             maximal = [n for n in range(1, a) if all(value[n] + g != value[(n + c) % a] for g, c in steps)]
-            assert all(n < 10 or n >= a - 10 for n in maximal), (a, d)
+            assert all(n < _Q or n >= a - _T for n in maximal), (a, d)
             assert tuple(sorted(value[n] - a for n in maximal)) == pseudo_frobenius_set(seed).pf, (a, d)
 
 
