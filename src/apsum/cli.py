@@ -19,7 +19,7 @@ per field.  JSON and CSV are byte for byte what ``json.dumps(indent=2,
 sort_keys=True)`` and ``csv.writer`` (lineterminator "\\n") write; a CSV cell
 holding ``,``, ``"`` or a newline is quoted, inner ``"`` doubled.  Table text
 joins the cells of ``AperyTable.columns`` and a record fills a %-template;
-the rest goes through ``_json``.  A query builds a parser per word it names.
+the rest goes through ``_json``.  Parsers are built once per process per set of named words.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 from . import __version__
 from .cone import apery_table, cone_to_json, ring_properties
@@ -57,6 +57,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFICATION = 4
+_WORDS = frozenset("info apery frobenius pf order ideal list verify table cone hilbert sweep unique gamma6".split())
 
 
 def _jsonable(value):
@@ -308,10 +309,20 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     chosen, and a chosen word is on the line.  So ``apsum --help``, the
     usage, the choices and the "invalid choice" and "unrecognized arguments"
     errors read the same, and so do a leaf's own parse and help.  Without
-    ``argv`` the whole tree is built.
+    ``argv`` the whole tree is built.  The tree for each set of ``_WORDS``
+    named is built once per process (the 32 latest kept) and shared: each
+    ``parse_args`` fills a fresh Namespace and changes no parser, a handler
+    looks up what it calls when it runs, so a monkeypatch still takes effect,
+    and help reads COLUMNS when it is printed, not when the tree is built.
     """
+    return _tree(None if argv is None else _WORDS.intersection(argv))
+
+
+@lru_cache(maxsize=32)
+def _tree(words: frozenset[str] | None) -> argparse.ArgumentParser:
+    """The tree with a parser behind each choice in ``words``, or behind every choice if None."""
     def named(word):
-        return argv is None or word in argv
+        return words is None or word in words
 
     def parser_class(built, **kwargs):
         return argparse.ArgumentParser(**kwargs) if built else None
@@ -326,7 +337,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     def register(group, word, summary):
         """Add `word` to `group` as a choice with its help line; return its parser
-        if argv names it, else None, which is all the choice maps to."""
+        if it is named, else None, which is all the choice maps to."""
         return group.add_parser(word, help=summary, built=named(word))
 
     def leaf(group, name, handler, summary, m=None, extra=()):

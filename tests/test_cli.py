@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -693,12 +694,21 @@ TOP_USAGE_ERRORS = [["nope"], ["cone", "--a", "11", "--d", "2", "extra"]]
 ])
 def test_partial_parser_parses_as_the_whole_tree(capsys, monkeypatch, columns, argv):
     monkeypatch.setenv("COLUMNS", columns)
-    whole = parsed(capsys, build_parser(), argv)
+    whole = parsed(capsys, apsum.cli._tree.__wrapped__(None), argv)  # the whole tree, built now
+    assert parsed(capsys, build_parser(), argv) == whole
     assert parsed(capsys, build_parser(argv), argv) == whole
     assert whole[0] is not None or whole[1].handler is apsum.cli._cmd_cone
     if argv in TOP_USAGE_ERRORS:  # the top usage, naming every subcommand
         assert whole[3].startswith("usage: apsum [-h]")
         assert all(leaf.split()[0] in whole[3] for leaf in LEAVES)
+    # a tree built, and a different query parsed, under another width reads the same
+    apsum.cli._tree.cache_clear()
+    monkeypatch.setenv("COLUMNS", "57")
+    warm = build_parser(argv)
+    parsed(capsys, build_parser(["info", "--help"]), ["info", "--help"])
+    monkeypatch.setenv("COLUMNS", columns)
+    assert build_parser(argv) is warm
+    assert parsed(capsys, warm, argv) == whole
 
 
 @pytest.mark.parametrize("argv, progs", [
@@ -706,7 +716,8 @@ def test_partial_parser_parses_as_the_whole_tree(capsys, monkeypatch, columns, a
     (["ideal", "verify", "--a", "23", "--d", "1"], ["apsum", "apsum ideal", "apsum ideal verify"]),
 ])
 def test_a_query_builds_only_the_parsers_it_names(monkeypatch, argv, progs):
-    # every word argv does not name is a choice with no parser behind it
+    # every word argv does not name is a choice with no parser behind it,
+    # and a later query naming the same words builds nothing
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -715,8 +726,49 @@ def test_a_query_builds_only_the_parsers_it_names(monkeypatch, argv, progs):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    apsum.cli._tree.cache_clear()
     build_parser(argv).parse_args(argv)
     assert built == progs
+    build_parser(argv).parse_args(argv)
+    assert built == progs
+
+
+def choice_words(parser):
+    """Every subcommand word under ``parser``, at any depth."""
+    words = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, child in action.choices.items():
+                words |= {word} | choice_words(child)
+    return words
+
+
+def test_the_cache_key_knows_every_choice_word():
+    # a word missing from the key would leave its choice mapped to None, which crashes when chosen
+    assert choice_words(build_parser()) == apsum.cli._WORDS
+
+
+# pairs of command lines that share a tree (or differ in a default), each run after the other
+WARM_PAIRS = [
+    (["apery", "--oracle", "--a", "11", "--d", "2"], ["apery", "--a", "11", "--d", "2"]),
+    (["pf", "--oracle", "--a", "23", "--d", "1"], ["pf", "--a", "23", "--d", "1"]),
+    (["ideal", "list", "--strict-21", "--a", "21", "--d", "1"], ["ideal", "list", "--a", "21", "--d", "1"]),
+    (["sweep", "unique", *SWEEP_GRID], ["info", "--a", "137", "--d", "4"]),
+]
+
+
+def test_a_warm_tree_carries_nothing_from_one_parse_to_the_next(capsys):
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    for _ in range(2):  # the second round parses every line on a tree another line used
+        for argv in [argv for pair in WARM_PAIRS for argv in pair]:
+            code, out, err = run(capsys, *argv, "--format", "json")
+            if argv[0] == "sweep":  # no digest: the report holds wall-clock times
+                assert (code, err) == (0, "")
+                report = json.loads(out)["payload"]
+                assert report["grid"]["m"] == 6 and {r["m"] for r in report["records"]} == {6}
+                continue
+            text = json.dumps([code, out, err], separators=(",", ":"))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden[" ".join(argv + ["--format", "json"])]
 
 
 def readme_examples():
