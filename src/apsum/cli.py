@@ -19,7 +19,7 @@ per field.  JSON and CSV are byte for byte what ``json.dumps(indent=2,
 sort_keys=True)`` and ``csv.writer`` (lineterminator "\\n") write; a CSV cell
 holding ``,``, ``"`` or a newline is quoted, inner ``"`` doubled.  Table text
 joins the cells of ``AperyTable.columns`` and a record fills a %-template;
-the rest goes through ``_json``.  Parsers are built once per process per set of named words.
+the rest goes through ``_json``.  The parser tree is built once per process.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFICATION = 4
-_WORDS = frozenset("info apery frobenius pf order ideal list verify table cone hilbert sweep unique gamma6".split())
 
 
 def _jsonable(value):
@@ -301,51 +300,27 @@ def _cmd_sweep_gamma6(seed, args):
                                jobs=_jobs(args), checkpoint_path=args.checkpoint), "mismatches")
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The argparse tree; given ``argv``, only the leaves and groups it names are built.
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every query.
 
-    Every word is still a choice with its summary, mapped to None unless
-    argv names it: argparse reads a choice's parser only once the word is
-    chosen, and a chosen word is on the line.  So ``apsum --help``, the
-    usage, the choices and the "invalid choice" and "unrecognized arguments"
-    errors read the same, and so do a leaf's own parse and help.  Without
-    ``argv`` the whole tree is built.  The tree for each set of ``_WORDS``
-    named is built once per process (the 32 latest kept) and shared: each
-    ``parse_args`` fills a fresh Namespace and changes no parser, a handler
-    looks up what it calls when it runs, so a monkeypatch still takes effect,
-    and help reads COLUMNS when it is printed, not when the tree is built.
+    Sharing is sound: each ``parse_args`` fills a fresh Namespace and changes
+    no parser, a handler looks up what it calls when it runs, so a
+    monkeypatch still takes effect, and help reads COLUMNS when it is
+    printed, not when the tree is built.
     """
-    return _tree(None if argv is None else _WORDS.intersection(argv))
-
-
-@lru_cache(maxsize=32)
-def _tree(words: frozenset[str] | None) -> argparse.ArgumentParser:
-    """The tree with a parser behind each choice in ``words``, or behind every choice if None."""
-    def named(word):
-        return words is None or word in words
-
-    def parser_class(built, **kwargs):
-        return argparse.ArgumentParser(**kwargs) if built else None
-
     parser = argparse.ArgumentParser(
         prog="apsum",
         description="Exact invariants of numerical semigroups generated by partial sums "
         "of an arithmetic progression",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
-
-    def register(group, word, summary):
-        """Add `word` to `group` as a choice with its help line; return its parser
-        if it is named, else None, which is all the choice maps to."""
-        return group.add_parser(word, help=summary, built=named(word))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def leaf(group, name, handler, summary, m=None, extra=()):
-        """Add leaf `name` (its envelope name) to `group`; if named, its shared flags,
+        """Add leaf `name` (its envelope name) to `group` with its shared flags,
         --m only if m is given, then each (flag, kwargs) of `extra`."""
-        p = register(group, name.split()[-1], summary)
-        if p is None:
-            return
+        p = group.add_parser(name.split()[-1], help=summary)
         sweep = name.startswith("sweep ")
         p.set_defaults(handler=handler, name=name)
         if not sweep:
@@ -374,32 +349,26 @@ def _tree(words: frozenset[str] | None) -> argparse.ArgumentParser:
     leaf(sub, "order", _cmd_order, "order of an element (max generator count)", m=5, extra=[(
         "--value", {"type": int, "required": True, "help": "semigroup element"})])
 
-    ideal_group = register(sub, "ideal", "defining-ideal catalog and verification")
-    if ideal_group is not None:
-        ideal_sub = ideal_group.add_subparsers(dest="ideal_command", required=True,
-                                               parser_class=parser_class)
-        leaf(ideal_sub, "ideal list", _cmd_ideal_list, "catalog of binomial generators", extra=[(
-            "--strict-21", {"action": "store_true", "dest": "strict_21",
-                            "help": "at a=21, drop the seed-independent generators"})])
-        leaf(ideal_sub, "ideal verify", _cmd_ideal_verify, "dimension check plus drop-one minimality")
+    ideal = sub.add_parser("ideal", help="defining-ideal catalog and verification")
+    ideal_sub = ideal.add_subparsers(dest="ideal_command", required=True)
+    leaf(ideal_sub, "ideal list", _cmd_ideal_list, "catalog of binomial generators", extra=[(
+        "--strict-21", {"action": "store_true", "dest": "strict_21",
+                        "help": "at a=21, drop the seed-independent generators"})])
+    leaf(ideal_sub, "ideal verify", _cmd_ideal_verify, "dimension check plus drop-one minimality")
 
     leaf(sub, "table", _cmd_table, "Apery table rows")
     leaf(sub, "cone", _cmd_cone, "tangent-cone decomposition summary")
     leaf(sub, "hilbert", _cmd_hilbert, "Hilbert series numerator")
 
-    sweep_group = register(sub, "sweep", "conjecture sweeps over (a, d) grids")
-    if sweep_group is not None:
-        sweep_sub = sweep_group.add_subparsers(dest="sweep_command", required=True,
-                                               parser_class=parser_class)
-        leaf(sweep_sub, "sweep unique", _cmd_sweep_unique, "uniqueness of Apery expansions", m=6)
-        leaf(sweep_sub, "sweep gamma6", _cmd_sweep_gamma6, "six-generator Apery formula vs oracle")
+    sweep = sub.add_parser("sweep", help="conjecture sweeps over (a, d) grids")
+    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
+    leaf(sweep_sub, "sweep unique", _cmd_sweep_unique, "uniqueness of Apery expansions", m=6)
+    leaf(sweep_sub, "sweep gamma6", _cmd_sweep_gamma6, "six-generator Apery formula vs oracle")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     seed = None
     try:
         if hasattr(args, "a"):

@@ -190,12 +190,12 @@ def element_order(seed: ArithmeticSeed, v: int) -> int:
     The expansions are unique and the tangent cone is free, so by Garcia's
     criterion (Comm. Algebra 10, 1982) ord(v) = ord(w) + (v - w)/a, where w
     is the Apery element of v's class n = v * d^-1 mod a (class 0 has w = 0).
-    O(1) in v.  Raises like ``order_oracle`` for v < 0 and for v < w (not a
-    member); fails loudly outside ``require_closed_form``.
+    O(1) in v.  Raises like ``order_oracle`` for a non-int or negative v and
+    for v < w (not a member); fails loudly outside ``require_closed_form``.
     """
     require_closed_form(seed)
-    if v < 0:
-        raise DomainError("invalidElement", "semigroup elements are nonnegative")
+    if not isinstance(v, int) or v < 0:
+        raise DomainError("invalidElement", "semigroup elements are nonnegative ints")
     rec = _record(seed.a, seed.d, v * pow(seed.d, -1, seed.a) % seed.a)  # class 0: w = 0, order 0
     if v < rec.value:
         raise DomainError("notMember", f"{v} is not in the semigroup")

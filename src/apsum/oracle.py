@@ -18,13 +18,17 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
+from operator import index
 
 from .errors import DomainError
 
 
 def validate_generators(gens) -> tuple[int, ...]:
     """Normalize gens to a tuple, enforcing the generating-set invariants."""
-    g = tuple(int(x) for x in gens)
+    try:
+        g = tuple(map(index, gens))  # an int or bool as an int; a float or str refused, not truncated
+    except TypeError:
+        raise DomainError("invalidGenerators", "generators must be ints") from None
     if any(x <= 0 for x in g):
         raise DomainError("invalidGenerators", "generators must be positive")
     if not g:
@@ -55,8 +59,8 @@ def membership_mask(gens, limit: int) -> int:
 def membership(s: int, gens) -> bool:
     """True iff s is a nonnegative integer combination of the generators."""
     g = validate_generators(gens)
-    if s < 0:
-        raise DomainError("invalidElement", "semigroup elements are nonnegative")
+    if not isinstance(s, int) or s < 0:
+        raise DomainError("invalidElement", "semigroup elements are nonnegative ints")
     return bool(membership_mask(g, s) >> s & 1)
 
 
@@ -72,8 +76,8 @@ def apery_oracle(gens, c: int) -> list[int]:
     relaxing every successor, so the whole set costs O(m * c) steps.
     """
     g = validate_generators(gens)
-    if c <= 0 or not (membership_mask(g, c) >> c & 1):
-        raise DomainError("aperyBaseNotInSemigroup", f"{c} is not a nonzero semigroup element")
+    if not isinstance(c, int) or c <= 0 or not (membership_mask(g, c) >> c & 1):
+        raise DomainError("aperyBaseNotInSemigroup", f"{c!r} is not a nonzero semigroup element")
     # A least element is a sum of at most c - 1 generators (a shortest path
     # visits each residue once), so c * g[-1] exceeds every finite entry.
     unset = c * g[-1]
@@ -132,8 +136,8 @@ def orders_up_to(gens, limit: int) -> list[int]:
 def order_oracle(s: int, gens) -> int:
     """Maximum number of generators, with repetition, summing to s."""
     g = validate_generators(gens)
-    if s < 0:
-        raise DomainError("invalidElement", "semigroup elements are nonnegative")
+    if not isinstance(s, int) or s < 0:
+        raise DomainError("invalidElement", "semigroup elements are nonnegative ints")
     o = orders_up_to(g, s)[s]
     if o < 0:
         raise DomainError("notMember", f"{s} is not in the semigroup")

@@ -693,31 +693,33 @@ TOP_USAGE_ERRORS = [["nope"], ["cone", "--a", "11", "--d", "2", "extra"]]
     *TOP_USAGE_ERRORS,
 ])
 def test_partial_parser_parses_as_the_whole_tree(capsys, monkeypatch, columns, argv):
+    # the shared tree, and one warmed under another width, parse as a whole tree built now
     monkeypatch.setenv("COLUMNS", columns)
-    whole = parsed(capsys, apsum.cli._tree.__wrapped__(None), argv)  # the whole tree, built now
-    assert parsed(capsys, build_parser(), argv) == whole
-    assert parsed(capsys, build_parser(argv), argv) == whole
-    assert whole[0] is not None or whole[1].handler is apsum.cli._cmd_cone
+    fresh = parsed(capsys, build_parser.__wrapped__(), argv)  # a tree of its own, built now
+    assert parsed(capsys, build_parser(), argv) == fresh
+    assert fresh[0] is not None or fresh[1].handler is apsum.cli._cmd_cone
     if argv in TOP_USAGE_ERRORS:  # the top usage, naming every subcommand
-        assert whole[3].startswith("usage: apsum [-h]")
-        assert all(leaf.split()[0] in whole[3] for leaf in LEAVES)
+        assert fresh[3].startswith("usage: apsum [-h]")
+        assert all(leaf.split()[0] in fresh[3] for leaf in LEAVES)
     # a tree built, and a different query parsed, under another width reads the same
-    apsum.cli._tree.cache_clear()
+    build_parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "57")
-    warm = build_parser(argv)
-    parsed(capsys, build_parser(["info", "--help"]), ["info", "--help"])
+    warm = build_parser()
+    parsed(capsys, warm, ["info", "--help"])
     monkeypatch.setenv("COLUMNS", columns)
-    assert build_parser(argv) is warm
-    assert parsed(capsys, warm, argv) == whole
+    assert build_parser() is warm
+    assert parsed(capsys, warm, argv) == fresh
 
 
-@pytest.mark.parametrize("argv, progs", [
-    (["cone", "--a", "11", "--d", "2"], ["apsum", "apsum cone"]),
-    (["ideal", "verify", "--a", "23", "--d", "1"], ["apsum", "apsum ideal", "apsum ideal verify"]),
-])
-def test_a_query_builds_only_the_parsers_it_names(monkeypatch, argv, progs):
-    # every word argv does not name is a choice with no parser behind it,
-    # and a later query naming the same words builds nothing
+def leaf_argv(leaf):
+    """A command line that runs ``leaf`` on a small seed or grid."""
+    if leaf.startswith("sweep "):
+        return [*leaf.split(), *SWEEP_GRID]
+    return [*leaf.split(), "--a", "11", "--d", "2", *(["--value", "24"] if leaf == "order" else [])]
+
+
+def test_after_one_query_other_leaves_build_no_parser(capsys, monkeypatch):
+    # the first query builds the whole tree; every later one, of any leaf, parses on it
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -726,26 +728,12 @@ def test_a_query_builds_only_the_parsers_it_names(monkeypatch, argv, progs):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    apsum.cli._tree.cache_clear()
-    build_parser(argv).parse_args(argv)
-    assert built == progs
-    build_parser(argv).parse_args(argv)
-    assert built == progs
-
-
-def choice_words(parser):
-    """Every subcommand word under ``parser``, at any depth."""
-    words = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for word, child in action.choices.items():
-                words |= {word} | choice_words(child)
-    return words
-
-
-def test_the_cache_key_knows_every_choice_word():
-    # a word missing from the key would leave its choice mapped to None, which crashes when chosen
-    assert choice_words(build_parser()) == apsum.cli._WORDS
+    build_parser.cache_clear()
+    assert run(capsys, *leaf_argv("cone"))[0] == 0
+    assert sorted(built) == sorted(["apsum", "apsum ideal", "apsum sweep", *(f"apsum {leaf}" for leaf in LEAVES)])
+    for leaf in LEAVES:
+        assert run(capsys, *leaf_argv(leaf))[0] == 0, leaf
+    assert len(built) == 3 + len(LEAVES)
 
 
 # pairs of command lines that share a tree (or differ in a default), each run after the other

@@ -279,7 +279,7 @@ def test_element_order_matches_the_order_sieve(a):
         assert [_order_or_code(seed, v) for v in values] == expected, (a, d)
 
 
-@pytest.mark.parametrize("v", [-1, -10**20, 1, 82, 93])
+@pytest.mark.parametrize("v", [-1, -10**20, 1, 82, 93, 7.5])
 def test_element_order_refuses_like_the_oracle(v):
     seed = ArithmeticSeed(11, 2)
     with pytest.raises(DomainError) as closed:

@@ -30,12 +30,24 @@ def test_partial_sums_match_known_generators():
     assert partial_sum_generators(ArithmeticSeed(23, 1)) == GENS_23_1
 
 
-# (-1, 2) is increasing with gcd 1: only the positivity check refuses it
-@pytest.mark.parametrize("bad", [(), (0, 3), (3, 3), (4, 2), (2, 4), (-1, 2)])
+# (-1, 2) is increasing with gcd 1: only the positivity check refuses it;
+# (3.9, 5) and ("3", "5") are refused, not truncated or parsed to <3, 5>
+@pytest.mark.parametrize("bad", [(), (0, 3), (3, 3), (4, 2), (2, 4), (-1, 2), (3.9, 5), ("3", "5")])
 def test_generator_validation_rejects(bad):
     with pytest.raises(DomainError) as err:
         validate_generators(bad)
     assert err.value.code == "invalidGenerators"
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: membership(7.5, (3, 5)), "invalidElement"),
+    (lambda: order_oracle(8.0, (3, 5)), "invalidElement"),
+    (lambda: apery_oracle((3, 5), 3.0), "aperyBaseNotInSemigroup"),
+])
+def test_non_integer_element_or_base_is_a_coded_error(call, code):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.code == code
 
 
 def test_membership_examples():
