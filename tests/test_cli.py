@@ -718,7 +718,8 @@ def leaf_argv(leaf):
     return [*leaf.split(), "--a", "11", "--d", "2", *(["--value", "24"] if leaf == "order" else [])]
 
 
-def test_after_one_query_other_leaves_build_no_parser(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [leaf_argv("cone"), leaf_argv("ideal verify")])
+def test_after_one_query_other_leaves_build_no_parser(capsys, monkeypatch, argv):
     # the first query builds the whole tree; every later one, of any leaf, parses on it
     built = []
     init = argparse.ArgumentParser.__init__
@@ -729,7 +730,7 @@ def test_after_one_query_other_leaves_build_no_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     build_parser.cache_clear()
-    assert run(capsys, *leaf_argv("cone"))[0] == 0
+    assert run(capsys, *argv)[0] == 0
     assert sorted(built) == sorted(["apsum", "apsum ideal", "apsum sweep", *(f"apsum {leaf}" for leaf in LEAVES)])
     for leaf in LEAVES:
         assert run(capsys, *leaf_argv(leaf))[0] == 0, leaf
