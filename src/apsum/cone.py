@@ -5,12 +5,9 @@ ideal, in each class; column n is the class of n * d mod a.  The cone is
 free over the fiber cone exactly when every column stays flat through the
 order of its Apery class and then climbs by a, guard row included.
 ``apery_table`` certifies that shape from the closed records against the
-layered DP M^s = gens + M^(s-1), refusing a non-free cone.  One period
-check comes first: when every step into a class m >= q + T adds (g_5, 1),
-as by the class rule (``family._class_rule``), column n >= q + 2T repeats
-column n - T, so only the first q + 2T columns are checked; otherwise all
-are.  The certified orders' histogram is then checked against the
-class-order rule.  The O(a^2 / T) rows are built only where they are read.
+layered DP M^s = gens + M^(s-1) over ``family._cone_columns``, refusing a
+non-free cone, and checks its orders' histogram against the class-order
+rule.  The O(a^2 / T) rows are built only where they are read.
 As the cone is free, every cone invariant is a view of the table: the
 shifts are the class orders, their histogram ``t_counts`` is the Hilbert
 numerator, and the top order is the reduction number; ``ring_properties``
@@ -22,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import eq
 
 from .errors import DomainError, VerificationError
-from .family import _Q, _T, ArithmeticSeed, apery_records, partial_sum_generators
+from .family import ArithmeticSeed, _cone_columns, _steps, apery_records, partial_sum_generators
 from .frobenius import pseudo_frobenius_set
 from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark tracer's self-test
 
@@ -92,28 +88,13 @@ def apery_table(seed: ArithmeticSeed) -> AperyTable:
     f_j(s) = 0 needs delta = 0 and o_n' >= s - 1, so one j serves every s iff
     o_n' >= o_n - 1, capped at o_n - 1 by (ii): (iii), which also asks
     o_n >= 1, as w_n != 0 lies in M.  Columns keep w_n through o_n, so top
-    is max o_n.
-
-    Window: by the class rule (``family._class_rule``) class m >= q + T is
-    class m - T plus generator 5, so w_m - w_(m-T) = g_5 and o_m - o_(m-T) = 1.
-    If every step into a class m >= q + T keeps this, take n >= q + 2T (so
-    a > q + 2T and C(j, 2) mod a = k <= T): n - k >= q + T and n - T - k >= q
-    index without wrapping, and w, o at n and at each n - k exceed those at
-    n - T and n - T - k by the same g_5 and 1, so column n has the deltas and
-    gaps of column n - T and fails iff it does.  The first failing column is
-    then below q + 2T, and checking columns n < min(a, q + 2T) in order raises
-    the same ``nonFreeCone`` as a scan of every column.  If some step breaks
-    the rule, every column is checked in order.  The steps are checked once in
-    O(a) at C speed; the closed records keep the rule.
+    is max o_n.  The columns of ``family._cone_columns`` suffice (proof there).
     """
     records = apery_records(seed)
     w, o, a = (0, *(rec.value for rec in records)), (0, *(rec.order for rec in records)), seed.a
     # generator 1 passes (i) and (ii) everywhere; w[n - k] wraps to class (n - k) mod a
-    steps = [(j * (j - 1) // 2 % a, g) for j, g in enumerate(partial_sum_generators(seed)[1:], 2)]
-    # the period check: every step into a class m >= first = q + T adds g_5 to the value and 1 to the order
-    g5, first = steps[-1][1], _Q + _T
-    periodic = all(map(eq, w[first:], map(g5.__add__, w[_Q:]))) and all(map(eq, o[first:], map((1).__add__, o[_Q:])))
-    for n in range(min(a, _Q + 2 * _T) if periodic else a):
+    steps = _steps(a, partial_sum_generators(seed))
+    for n in _cone_columns(a, w, o, steps[-1][1]):
         checks = [(divmod(g + w[n - k] - w[n], a), o[n - k] - o[n]) for k, g in steps]
         if not all(rem == 0 and delta >= max(0, gap + 1) for (delta, rem), gap in checks) or (
                 n and ((0, 0), -1) not in checks):
@@ -145,10 +126,10 @@ def order_histogram_closed(a: int) -> list[int]:
     rewrites digits (2, c3, c4, c5) to (0, c3, c4 + 2, c5 - 1).  So each
     residue is one class and one run of consecutive orders, counted by their
     edges in O(a / 10).  It reads no record, so it checks the records' orders.
-    Raises ``invalidSeed`` for a < 1.
+    Raises ``invalidSeed`` for a non-int a or a < 1.
     """
-    if a < 1:
-        raise DomainError("invalidSeed", f"a must be at least 1, got {a}")
+    if not isinstance(a, int) or a < 1:
+        raise DomainError("invalidSeed", f"a must be an int at least 1, got {a!r}")
     edges = [0] * (a // 10 + 5)
     for r in range(min(a, 10)):
         o, rewrite = r % 3 + r % 6 // 3 + r // 6, r % 3 == 2

@@ -9,11 +9,25 @@ so an expansion of the class index n writes n as a sum of the triangular
 numbers C(k, 2).  With five generators the Apery set with respect to a
 admits a closed form: class n's least member is L(n)*a + n*d, L(n) the least
 degree of an expansion of n (``least_degrees``), whose unique expansion is
-the element's.  The class rule (``_class_rule``), read by every closed form,
-is built once at import: from q = 9 on, class n + T, T = C(5, 2) = 10, is
-class n plus one generator 5.  The six-generator analogue takes L(n) over
-1, 3, 6, 10, 15 times a, plus n*d.  It is conjectural: the gamma6 sweep
-verdict reads it and compares it with the oracle, and nothing asserts it.
+the element's.  The six-generator analogue takes L(n) over 1, 3, 6, 10, 15
+times a, plus n*d.  It is conjectural: the gamma6 sweep verdict reads it and
+compares it with the oracle, and nothing asserts it.
+
+The class rule (``_class_rule``), read by every closed form, is built once at import:
+from q = 9 on, class n + T, T = C(5, 2) = 10, is class n plus one generator 5, so
+w_(n+T) = w_n + g_5 and o_(n+T) = o_n + 1, w_n and o_n the value and order of class n
+(w_0 = o_0 = 0).  As g_k lies in the class of C(k, 2)*d, w_n + g_k is an Apery element
+iff it is w of class n + C(k, 2) mod a; ``_steps`` lists these steps (C(k, 2) mod a, g_k).
+- PF's window, ``_pf_window``: by the rule only {1..q-1} | {a-T..a-1} can hold maximal
+  classes, as for q <= n < a - T the step by g_5 takes w_n to the Apery element w_(n+T).
+- The cone certificate's columns, ``_cone_columns``: if every step into a class m >= q + T
+  adds (g_5, 1) (one O(a) check at C speed), then for n >= q + 2T, so a > q + 2T and
+  k = C(j, 2) mod a <= T, n - k >= q + T and n - T - k >= q index without wrapping, and
+  w, o at n and at each n - k exceed those at n - T and n - T - k by the same g_5 and 1:
+  column n has the deltas and gaps of column n - T and fails iff it does.  So the first
+  failing column lies below min(a, q + 2T), and checking those columns in order raises
+  the same ``nonFreeCone`` as a scan of every column.  If some step breaks the rule,
+  every column is checked; the closed records keep it.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
+from operator import eq
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -54,8 +69,8 @@ def partial_sum_generators(seed: ArithmeticSeed) -> tuple[int, ...]:
 
 def canonical_expansion(n: int) -> tuple[int, int, int, int]:
     """Coefficients (c2, c3, c4, c5) of class n's least-degree expansion, by the class rule."""
-    if n < 0:
-        raise DomainError("invalidElement", "canonical expansions need n >= 0")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("invalidElement", f"canonical expansions need an int n >= 0, got {n!r}")
     return _record(0, 0, n).expansion
 
 
@@ -159,6 +174,19 @@ def _record(a: int, d: int, n: int) -> AperyRecord:
     mult += _M * j
     value = mult * a + n * d
     return AperyRecord(n, mult, value, value - a, order + j, exp[:-1] + (exp[-1] + j,))
+
+
+def _steps(a: int, gens: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(k * (k - 1) // 2 % a, g) for k, g in enumerate(gens[1:], 2)]
+
+
+def _pf_window(a: int) -> set[int]:
+    return {*range(1, _Q), *range(a - _T, a)}
+
+
+def _cone_columns(a: int, w: tuple[int, ...], o: tuple[int, ...], gm: int) -> range:
+    periodic = all(map(eq, w[_Q + _T:], map(gm.__add__, w[_Q:]))) and all(map(eq, o[_Q + _T:], map((1).__add__, o[_Q:])))
+    return range(min(a, _Q + 2 * _T) if periodic else a)
 
 
 def apery_records(seed: ArithmeticSeed) -> list[AperyRecord]:

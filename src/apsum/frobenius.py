@@ -3,16 +3,18 @@
 Valid for the five-generator family with a >= 11.  PF(S) is w - a over the
 Apery elements w that are maximal in Ap(S, a) (Rosales & Garcia-Sanchez,
 *Numerical Semigroups*, ch. 2).  ``pseudo_frobenius_oracle`` applies that rule
-to the oracle's Apery set; here it runs on the closed form, over the classes
-{1..q-1} | {a-T..a-1} of the class rule (``family._class_rule``) only.  The
-Frobenius number is the largest pseudo-Frobenius gap.
+to the oracle's Apery set; here it runs on the closed form: class n is maximal
+when no step of ``family._steps`` takes w_n to an Apery element (class 0 holds
+0), and only ``family._pf_window`` can hold one, as the ``family`` docstring
+proves, so about 5(q + T) class values are read, O(1) in a.  The Frobenius
+number is the largest pseudo-Frobenius gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .family import _Q, _T, ArithmeticSeed, _record, partial_sum_generators, require_closed_form
+from .family import ArithmeticSeed, _pf_window, _record, _steps, partial_sum_generators, require_closed_form
 
 
 @dataclass(frozen=True)
@@ -28,22 +30,11 @@ class PFResult:
 
 
 def pseudo_frobenius_set(seed: ArithmeticSeed) -> PFResult:
-    """Closed-form pseudo-Frobenius data of the five-generator semigroup.
-
-    The Apery element w_n of class index n is maximal when no w_n + g_k,
-    g_k = k*a + C(k, 2)*d for k = 2..5, is again an Apery element.  w_n + g_k
-    lies in class (n + C(k, 2)) mod a, so it is one exactly when it equals
-    that class's value (class 0 holds 0).  Only the window
-    {1..q-1} | {a-T..a-1} can hold maximal classes: for q <= n < a - T,
-    class n + T is class n plus generator 5 by the class rule
-    (``family._class_rule``), so w_(n+T) = w_n + g_5.  About 5(q + T) class
-    values, O(1) in a.
-    """
+    """Closed-form pseudo-Frobenius data of the five-generator semigroup, by the module docstring's rule."""
     require_closed_form(seed)
     a, d = seed.a, seed.d
-    steps = [(g, k * (k - 1) // 2) for k, g in enumerate(partial_sum_generators(seed)[1:], 2)]
-    window = {*range(1, _Q), *range(a - _T, a)}
-    value = {n: _record(a, d, n).value for n in window | {(n + c) % a for n in window for _, c in steps}}
-    not_maximal = {n for n in window for g, c in steps if value[n] + g == value[(n + c) % a]}
+    window, steps = _pf_window(a), _steps(a, partial_sum_generators(seed))
+    value = {n: _record(a, d, n).value for n in window | {(n + c) % a for n in window for c, _ in steps}}
+    not_maximal = {n for n in window for c, g in steps if value[n] + g == value[(n + c) % a]}
     pf = tuple(sorted(value[n] - a for n in window - not_maximal))
     return PFResult(pf, max(pf), len(pf), "largeA" if a >= 20 else "smallA")

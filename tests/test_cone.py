@@ -261,7 +261,7 @@ def test_order_histograms():
     assert order_histogram_closed(20) == [1, 4, 8, 7]
 
 
-@pytest.mark.parametrize("a", [0, -5, -60])
+@pytest.mark.parametrize("a", [0, -5, -60, 7.5, "3", None])
 def test_closed_histogram_refuses_a_below_one(a):
     with pytest.raises(DomainError, match="invalidSeed"):
         order_histogram_closed(a)

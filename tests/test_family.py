@@ -87,9 +87,10 @@ def test_radix_round_trip():
 
 @pytest.mark.parametrize("call", [canonical_expansion], ids=["canonical_expansion"])
 def test_negative_index_rejected(call):
-    with pytest.raises(DomainError) as err:
-        call(-1)
-    assert err.value.code == "invalidElement"
+    for n in (-1, 7.5, "3", None):  # a negative or non-int index, never a raw TypeError
+        with pytest.raises(DomainError) as err:
+            call(n)
+        assert err.value.code == "invalidElement", n
 
 
 def _reference_expansion(n):

@@ -73,6 +73,30 @@ def test_deep_frobenius_residues():
         assert pseudo_frobenius_set(seed).frobenius == frobenius_oracle(partial_sum_generators(seed))
 
 
+# F = a^2/2 + a*d + c_r*a - e_r*d at a = r mod 10, r = 0..5, as (2 c_r, e_r); at
+# r = 1 with d > 2a the top class carries F, which gains d - 2a
+FROBENIUS_BY_RESIDUE = [(2, 1), (1, 2), (0, 1), (1, 1), (0, 1), (3, 1)]
+TYPE_BY_RESIDUE = [7, 8, 8, 9, 10, 8, 6, 7, 6, 6]
+
+
+@pytest.mark.parametrize("r", range(10))
+def test_pf_at_a_trillion_matches_the_residue_table(r):
+    # no oracle reaches a = 10^12, where the window {1..q-1} | {a-T..a-1} wraps
+    # with its two ends 10^12 apart; F and the type are held to the per-residue
+    # table instead, which the oracle matches at 20 <= a < 400
+    a = 10**12 + r
+    for d in (7, 11, 13, 2 * a + 1):
+        if gcd(a, d) != 1:  # 7 divides 10^12 + 6
+            continue
+        res = pseudo_frobenius_set(ArithmeticSeed(a, d))
+        assert (res.type_count, res.source_path) == (TYPE_BY_RESIDUE[r], "largeA"), d
+        assert res.frobenius == max(res.pf), d
+        if r < len(FROBENIUS_BY_RESIDUE):
+            c2, e = FROBENIUS_BY_RESIDUE[r]
+            gain = d - 2 * a if r == 1 and d > 2 * a else 0
+            assert 2 * res.frobenius == a * a + 2 * a * d + c2 * a - 2 * e * d + 2 * gain, d
+
+
 def test_maximal_classes_lie_in_the_window():
     # the maximality rule on every class, not only the window {1..q-1} | {a-T..a-1}
     # that pseudo_frobenius_set tests: no maximal class lies outside it.  The Apery
