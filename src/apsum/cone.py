@@ -16,9 +16,8 @@ and ``cone_to_json`` read the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError, VerificationError
 from .family import ArithmeticSeed, _cone_columns, _steps, apery_records, partial_sum_generators
@@ -26,8 +25,7 @@ from .frobenius import pseudo_frobenius_set
 from .oracle import orders_up_to  # noqa: F401  unused; kept for the benchmark tracer's self-test
 
 
-@dataclass(frozen=True)
-class AperyTable:
+class AperyTable(NamedTuple):
     """The certified table of a seed: row 0, the column orders and their
     histogram.  Row s at column n is values[n] + max(0, s - orders[n]) * a,
     a the number of columns; ``columns`` is the one place this is written."""
@@ -64,8 +62,9 @@ class AperyTable:
         return [render((w,)) * (o + 1) + render(range(w + a, w + (top - o) * a + 1, a))
                 for w, o in zip(self.values, self.orders)]
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, zipped from ``columns`` anew on each read."""
         return tuple(zip(*self.columns(tuple)))
 
 

@@ -32,7 +32,6 @@ iff it is w of class n + C(k, 2) mod a; ``_steps`` lists these steps (C(k, 2) mo
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 from operator import eq
@@ -42,23 +41,27 @@ from .errors import DomainError
 from .oracle import apery_oracle, validate_generators
 
 
-@dataclass(frozen=True)
-class ArithmeticSeed:
-    """The pair (a, d) with gcd 1, plus the number of generators m."""
-
+class _Seed(NamedTuple):
     a: int
     d: int
     m: int = 5
 
-    def __post_init__(self):
-        for name, x, low, need in (("a", self.a, 2, "at least 2"), ("d", self.d, 1, "positive"),
-                                   ("m", self.m, 2, "at least 2")):
+
+class ArithmeticSeed(_Seed):
+    """The pair (a, d) with gcd 1, plus the number of generators m."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # namedtuple's own, which _replace calls, skips __new__
+
+    def __new__(cls, a: int, d: int, m: int = 5):
+        for name, x, low, need in (("a", a, 2, "at least 2"), ("d", d, 1, "positive"), ("m", m, 2, "at least 2")):
             if not isinstance(x, int):
                 raise DomainError("invalidSeed", f"{name} must be an int, got {x!r}")
             if x < low:
                 raise DomainError("invalidSeed", f"{name} must be {need}, got {x}")
-        if gcd(self.a, self.d) != 1:
-            raise DomainError("notCoprime", f"gcd({self.a}, {self.d}) != 1")
+        if gcd(a, d) != 1:
+            raise DomainError("notCoprime", f"gcd({a}, {d}) != 1")
+        return super().__new__(cls, a, d, m)
 
 
 def partial_sum_generators(seed: ArithmeticSeed) -> tuple[int, ...]:
@@ -235,15 +238,13 @@ def apery_set_closed(seed: ArithmeticSeed) -> set[int]:
     return {0} | {rec.value for rec in apery_records(seed)}
 
 
-@dataclass(frozen=True)
-class UniquenessViolation:
+class UniquenessViolation(NamedTuple):
     value: int
-    count: int
+    count: int  # shadows tuple.count
     expansions: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     all_unique: bool
     violations: tuple[UniquenessViolation, ...]
 

@@ -12,13 +12,12 @@ number is the largest pseudo-Frobenius gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .family import ArithmeticSeed, _pf_window, _record, _steps, partial_sum_generators, require_closed_form
 
 
-@dataclass(frozen=True)
-class PFResult:
+class PFResult(NamedTuple):
     """Pseudo-Frobenius set, Frobenius number, type, and which path produced it."""
 
     pf: tuple[int, ...]

@@ -22,9 +22,8 @@ k[x2..x5] once; each drop-one variant is that image less one element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, ge, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 from .family import ArithmeticSeed, _record, partial_sum_generators, require_closed_form
@@ -44,21 +43,26 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass(frozen=True)
-class BinomialGenerator:
-    """One defining-ideal generator: x^lhs - x^rhs over x1..x5."""
-
+class _Binomial(NamedTuple):
     label: str
     lhs: Exponents
     rhs: Exponents
 
-    def __post_init__(self):
-        if len(self.lhs) != 5 or len(self.rhs) != 5:
-            raise DomainError("invalidGenerator", f"{self.label}: exponent vectors need 5 entries")
-        if not all(isinstance(e, int) and e >= 0 for e in (*self.lhs, *self.rhs)):
-            raise DomainError("invalidGenerator", f"{self.label}: exponents must be ints >= 0")
-        if self.lhs == self.rhs:
-            raise DomainError("invalidGenerator", f"{self.label}: sides are equal")
+
+class BinomialGenerator(_Binomial):
+    """One defining-ideal generator: x^lhs - x^rhs over x1..x5."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # namedtuple's own, which _replace calls, skips __new__
+
+    def __new__(cls, label: str, lhs: Exponents, rhs: Exponents):
+        if len(lhs) != 5 or len(rhs) != 5:
+            raise DomainError("invalidGenerator", f"{label}: exponent vectors need 5 entries")
+        if not all(isinstance(e, int) and e >= 0 for e in (*lhs, *rhs)):
+            raise DomainError("invalidGenerator", f"{label}: exponents must be ints >= 0")
+        if lhs == rhs:
+            raise DomainError("invalidGenerator", f"{label}: sides are equal")
+        return super().__new__(cls, label, lhs, rhs)
 
 
 def weighted_degree(exps: Exponents, gens: Iterable[int]) -> int:
@@ -248,8 +252,7 @@ def _s_poly(f: Poly, g: Poly) -> Poly | None:
     return binomial(_moved(f[1], f[0], lcm), _moved(g[1], g[0], lcm))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     elements: tuple[Poly, ...]
 
 
@@ -367,8 +370,7 @@ def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | No
     return standard_monomials([lead for lead, _ in buchberger(_quotient_polys(catalog)).elements])
 
 
-@dataclass(frozen=True)
-class GastingerReport:
+class GastingerReport(NamedTuple):
     """Outcome of the dimension check and the drop-one minimality test."""
 
     dimension: object  # int or INFINITE

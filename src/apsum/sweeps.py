@@ -22,8 +22,8 @@ import json
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 from .family import ArithmeticSeed, least_degrees, minimality_check, partial_sum_generators, uniqueness_check
@@ -89,16 +89,16 @@ def _task(task: tuple) -> dict:
 # checkpointing
 # ----------------------------------------------------------------------
 
-@dataclass
 class CheckpointCursor:
     """Resume state: header, completed records, valid line count (header
-    included), first corrupt line."""
+    included), first corrupt line; ``resume`` fills it in place."""
 
-    header: dict | None = None  # {"checkpoint": kind, "m": m}
-    completed: dict = field(default_factory=dict)  # (a, d, m) -> record
-    valid_lines: int = 0
-    corrupt_line: int | None = None
-    byte_offset: int = 0
+    def __init__(self):
+        self.header: dict | None = None  # {"checkpoint": kind, "m": m}
+        self.completed: dict = {}  # (a, d, m) -> record
+        self.valid_lines = 0
+        self.corrupt_line: int | None = None
+        self.byte_offset = 0
 
 
 # json.loads' own C scanner, called once per line without loads' wrappers
@@ -167,8 +167,7 @@ def strip_timing(records: list[dict]) -> list[dict]:
 # sweep driver
 # ----------------------------------------------------------------------
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     kind: str
     m: int
     a_range: tuple[int, int]

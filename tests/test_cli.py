@@ -478,6 +478,16 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # the result types are NamedTuples: dataclasses (and the inspect, ast and dis it
+    # imports) cost about half of a fresh query's start-up
+    src = str(Path(apsum.cli.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import apsum.cli; apsum.cli.build_parser(); "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_out_of_memory_is_too_large(capsys, monkeypatch):
     def exhausted(value, gens):
         raise MemoryError

@@ -46,6 +46,15 @@ def test_table_11_2_rows():
     assert tuple(v + 11 for v in table.rows[-1]) == reference_apery_table(SEED_11_2)[1]
 
 
+def test_table_is_immutable_and_rows_read_the_same_twice():
+    table = apery_table(SEED_11_2)
+    assert table.rows == table.rows == TABLE_11_2  # a plain property: rebuilt from the columns each time
+    with pytest.raises(AttributeError):
+        table.values = ()
+    with pytest.raises(AttributeError):
+        table.rows = ()
+
+
 def test_table_row_structure_generic():
     from apsum import order_oracle, partial_sum_generators
 

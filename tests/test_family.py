@@ -1,5 +1,6 @@
 """Closed forms for the five-generator family, and the conjectural dim-6 data."""
 
+import pickle
 from functools import cache, reduce
 from itertools import count
 from math import gcd
@@ -60,6 +61,31 @@ def test_seed_below_a2_or_d1_rejected(a, d, m):
     with pytest.raises(DomainError) as err:
         ArithmeticSeed(a, d, m)
     assert err.value.code == "invalidSeed"
+
+
+@pytest.mark.parametrize("change,code", [({"d": 2}, "notCoprime"), ({"a": 1.5}, "invalidSeed")], ids=["d2", "a1.5"])
+def test_seed_copies_are_checked(change, code):
+    # namedtuple's own _make, which _replace calls, builds the tuple without __new__'s checks
+    seed = ArithmeticSeed(12, 1)
+    with pytest.raises(DomainError) as err:
+        seed._replace(**change)
+    assert err.value.code == code
+    with pytest.raises(DomainError) as err:
+        ArithmeticSeed._make({**seed._asdict(), **change}.values())
+    assert err.value.code == code
+
+
+def test_seed_is_an_immutable_named_tuple():
+    seed = ArithmeticSeed(1000, 7)
+    assert repr(seed) == "ArithmeticSeed(a=1000, d=7, m=5)"
+    assert seed == (1000, 7, 5) and ArithmeticSeed._make((1000, 7)) == seed
+    assert {seed: "key"}[ArithmeticSeed(1000, 7)] == "key"
+    with pytest.raises(AttributeError):
+        seed.a = 11
+    with pytest.raises(AttributeError):
+        seed.extra = 0  # no instance dict
+    copy = pickle.loads(pickle.dumps(seed))
+    assert type(copy) is ArithmeticSeed and copy == seed
 
 
 @pytest.mark.parametrize(

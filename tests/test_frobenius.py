@@ -27,6 +27,13 @@ def test_small_a_example():
     assert res.source_path == "smallA"
 
 
+def test_pf_result_is_immutable():
+    res = pseudo_frobenius_set(ArithmeticSeed(11, 2))
+    with pytest.raises(AttributeError):
+        res.frobenius = 0
+    assert res == (res.pf, 93, 4, "smallA")
+
+
 def test_residue3_example():
     # maximal classes 5 and 8 at the low end, seven at the top (a - 7 is not: its
     # element plus the degree-4 generator is the element of class a - 1)

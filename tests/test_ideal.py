@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 from itertools import product
 from math import gcd
 
@@ -182,6 +183,27 @@ def test_binomial_generator_rejects_malformed_sides(lhs, rhs):
     with pytest.raises(DomainError) as err:
         BinomialGenerator("g", lhs, rhs)
     assert err.value.code == "invalidGenerator"
+
+
+def test_catalog_entry_is_an_immutable_checked_named_tuple():
+    entry = generator_catalog(ArithmeticSeed(23, 1))[0]
+    copy = pickle.loads(pickle.dumps(entry))
+    assert type(copy) is BinomialGenerator and copy == entry
+    assert entry._replace(label="q") == ("q", entry.lhs, entry.rhs)
+    with pytest.raises(DomainError) as err:
+        entry._replace(rhs=entry.lhs)  # namedtuple's own _replace would skip __new__'s checks
+    assert err.value.code == "invalidGenerator"
+    with pytest.raises(AttributeError):
+        entry.label = "q"
+    with pytest.raises(AttributeError):
+        entry.extra = 0  # no instance dict
+
+
+def test_gastinger_report_is_immutable():
+    report = gastinger_verify(ArithmeticSeed(23, 1))
+    with pytest.raises(AttributeError):
+        report.passed = False
+    assert report._replace(passed=False).passed is False and report.passed is True
 
 
 def test_below_threshold():

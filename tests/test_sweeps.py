@@ -206,6 +206,12 @@ def _resume_per_line(path):
     return cursor
 
 
+def test_each_cursor_starts_with_its_own_records():
+    first, second = apsum.sweeps.CheckpointCursor(), apsum.sweeps.CheckpointCursor()
+    first.completed[(11, 1, 5)] = {"verdict": "match"}
+    assert second.completed == {} and second.header is None and second.byte_offset == 0
+
+
 def _assert_resume_matches_reference(path, data):
     path.write_bytes(data)
     got, want = resume(str(path)), _resume_per_line(str(path))
