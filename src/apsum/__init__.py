@@ -40,8 +40,6 @@ from .ideal import (
     generator_catalog,
     homogeneity_check,
     quotient_basis,
-    standard_monomial_count,
-    standard_monomials,
 )
 from .oracle import (
     apery_oracle,

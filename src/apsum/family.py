@@ -132,6 +132,10 @@ def least_degrees(m: int, top: int) -> list[int]:
     least value an expansion of class index n can reach.  A coin DP over the
     coins C(k, 2) with weights k, O(m * top).
     """
+    if not isinstance(m, int) or m < 2:
+        raise DomainError("invalidSeed", f"least degrees need an int m >= 2, got {m!r}")
+    if not isinstance(top, int) or top < 0:
+        raise DomainError("invalidElement", f"least degrees need an int top >= 0, got {top!r}")
     least = list(range(0, 2 * top + 1, 2))  # n ones: C(2, 2) = 1 at degree 2
     for k in range(3, m + 1):
         coin = k * (k - 1) // 2

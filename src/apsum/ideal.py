@@ -325,23 +325,6 @@ def _staircase(basis: Iterable[Exponents]) -> list[tuple[Exponents, int]] | None
     return runs if walk((), tagged) else None
 
 
-def standard_monomials(basis: Iterable[Exponents]) -> list[Exponents] | None:
-    """Monomials outside the monomial ideal in lex order, or None when infinite.
-
-    The staircase walk yields them as runs along the last variable, so the
-    cost is proportional to the prefixes outside the ideal, not to the box
-    bounded by the pure powers.
-    """
-    runs = _staircase(basis)
-    return None if runs is None else [prefix + (v,) for prefix, n in runs for v in range(n)]
-
-
-def standard_monomial_count(basis: Iterable[Exponents]):
-    """Number of monomials outside the monomial ideal, or INFINITE."""
-    runs = _staircase(basis)
-    return INFINITE if runs is None else sum(n for _, n in runs)
-
-
 # ----------------------------------------------------------------------
 # dimension verification
 # ----------------------------------------------------------------------
@@ -355,9 +338,15 @@ def _quotient_polys(catalog: Iterable[BinomialGenerator]) -> list[Poly | None]:
     return [binomial(None if b.lhs[0] else b.lhs[1:], None if b.rhs[0] else b.rhs[1:]) for b in catalog]
 
 
+def _runs(images: list[Poly | None]) -> list[tuple[Exponents, int]] | None:
+    """Staircase runs in x2..x5 of the ideal the images generate, or None when infinite."""
+    return _staircase([lead for lead, _ in buchberger(images).elements])
+
+
 def _dimension(images: list[Poly | None]):
-    """Standard monomial count in x2..x5 of the ideal the images generate."""
-    return standard_monomial_count([lead for lead, _ in buchberger(images).elements])
+    """Standard monomial count in x2..x5 of the ideal the images generate, or INFINITE."""
+    runs = _runs(images)
+    return INFINITE if runs is None else sum(n for _, n in runs)
 
 
 def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | None:
@@ -365,9 +354,10 @@ def quotient_basis(catalog: Iterable[BinomialGenerator]) -> list[Exponents] | No
 
     None when the quotient is not finite dimensional.  When the catalog
     generates the full defining ideal, these monomials map bijectively onto
-    the Apery set through the weighted degree.
+    the Apery set through the weighted degree.  They come in lex order.
     """
-    return standard_monomials([lead for lead, _ in buchberger(_quotient_polys(catalog)).elements])
+    runs = _runs(_quotient_polys(catalog))
+    return None if runs is None else [prefix + (v,) for prefix, n in runs for v in range(n)]
 
 
 class GastingerReport(NamedTuple):

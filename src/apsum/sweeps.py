@@ -89,16 +89,14 @@ def _task(task: tuple) -> dict:
 # checkpointing
 # ----------------------------------------------------------------------
 
-class CheckpointCursor:
-    """Resume state: header, completed records, valid line count (header
-    included), first corrupt line; ``resume`` fills it in place."""
+class CheckpointCursor(NamedTuple):
+    """Resume state, as ``resume`` reads it from a checkpoint."""
 
-    def __init__(self):
-        self.header: dict | None = None  # {"checkpoint": kind, "m": m}
-        self.completed: dict = {}  # (a, d, m) -> record
-        self.valid_lines = 0
-        self.corrupt_line: int | None = None
-        self.byte_offset = 0
+    header: dict | None  # {"checkpoint": kind, "m": m}
+    completed: dict  # (a, d, m) -> record
+    valid_lines: int  # header included
+    corrupt_line: int | None  # the first corrupt line, if any
+    byte_offset: int  # the end of the last valid line
 
 
 # json.loads' own C scanner, called once per line without loads' wrappers
@@ -117,11 +115,10 @@ def resume(path: str) -> CheckpointCursor:
     byte_offset marks the end of the last valid line, so a writer can
     truncate a damaged tail and continue appending.
     """
-    cursor = CheckpointCursor()
-    if not os.path.exists(path):
-        return cursor
-    with open(path, "rb") as fh:
-        data = fh.read()
+    header, completed, corrupt_line, data = None, {}, None, b""
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
         text, bad_bytes = data.decode("utf-8"), False
     except UnicodeDecodeError as exc:
@@ -136,22 +133,22 @@ def resume(path: str) -> CheckpointCursor:
             if end != len(body):
                 raise ValueError("extra data")
             if lineno == 1:
-                cursor.header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
+                header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
             else:
                 key = (entry["a"], entry["d"], entry["m"])
                 if "verdict" not in entry:
                     raise ValueError("incomplete record")
-                cursor.completed[key] = entry
+                completed[key] = entry
         except (ValueError, KeyError, TypeError, StopIteration):  # StopIteration: no value
-            cursor.corrupt_line = lineno
+            corrupt_line = lineno
             break
-        cursor.valid_lines += 1
     else:
         if tail or bad_bytes:
-            cursor.corrupt_line = len(lines) + 1
+            corrupt_line = len(lines) + 1
+    valid_lines = len(lines) if corrupt_line is None else corrupt_line - 1
     # the end of the last valid line's newline, in raw bytes
-    cursor.byte_offset = len(data) - len(data.split(b"\n", cursor.valid_lines)[-1])
-    return cursor
+    byte_offset = len(data) - len(data.split(b"\n", valid_lines)[-1])
+    return CheckpointCursor(header, completed, valid_lines, corrupt_line, byte_offset)
 
 
 def _record_line(record: dict) -> str:
@@ -192,14 +189,17 @@ class SweepReport(NamedTuple):
 
 
 def _run_sweep(kind, verdict_of, m, a_range, d_range, jobs, checkpoint_path) -> SweepReport:
+    if len(a_range) != 2 or len(d_range) != 2 or not all(isinstance(x, int) for x in (*a_range, *d_range)):
+        raise DomainError("invalidRange", f"grids need (LO, HI) pairs of ints, got a {a_range!r}, d {d_range!r}")
     if a_range[0] > a_range[1] or d_range[0] > d_range[1]:
         raise DomainError("invalidRange", f"grids need LO <= HI, got a {a_range}, d {d_range}")
     if a_range[0] < 2 or d_range[0] < 1:
         raise DomainError("invalidSeed", f"grids need a >= 2 and d >= 1, got a {a_range}, d {d_range}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise DomainError("invalidJobs", f"jobs must be an int >= 1, got {jobs!r}")
     start = time.perf_counter()
     grid = seed_grid(a_range, d_range)
-    cursor = CheckpointCursor()
-    out = None
+    completed, out = {}, None
     with ExitStack() as stack:
         if checkpoint_path:
             header = {"checkpoint": kind, "m": m}
@@ -211,7 +211,8 @@ def _run_sweep(kind, verdict_of, m, a_range, d_range, jobs, checkpoint_path) -> 
             out.truncate(cursor.byte_offset)  # drops a damaged tail
             if cursor.header is None:
                 out.write(_record_line(header).encode("utf-8"))
-        pending = [(verdict_of, m, a, d) for (a, d) in grid if (a, d, m) not in cursor.completed]
+            completed = cursor.completed
+        pending = [(verdict_of, m, a, d) for (a, d) in grid if (a, d, m) not in completed]
         if jobs > 1 and pending:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
 
@@ -222,7 +223,7 @@ def _run_sweep(kind, verdict_of, m, a_range, d_range, jobs, checkpoint_path) -> 
         # both iterators yield in grid order; parallel results stream in
         records = []
         for a, d in grid:
-            record = cursor.completed.get((a, d, m))
+            record = completed.get((a, d, m))
             if record is None:
                 record = next(fresh)
                 if out is not None:
@@ -241,6 +242,8 @@ def sweep_uniqueness(
     checkpoint_path: str | None = None,
 ) -> SweepReport:
     """Check unique Apery expansions for the m-generator family over a grid."""
+    if not isinstance(m, int):
+        raise DomainError("invalidSeed", f"m must be an int, got {m!r}")
     if m < 2:
         raise DomainError("invalidSeed", f"m must be at least 2, got {m}")
     return _run_sweep("uniqueness", _uniqueness_verdict, m, a_range, d_range, jobs, checkpoint_path)

@@ -160,6 +160,26 @@ def test_least_degrees_five_is_the_canonical_degree():
         assert least5[n] == sum(map(mul, _reference_expansion(n), count(2))), n
 
 
+@pytest.mark.parametrize("m, top, code", [
+    (1, 10, "invalidSeed"),  # would list n copies of a generator 2 that m = 1 lacks
+    (0, 10, "invalidSeed"),
+    (5.0, 10, "invalidSeed"),
+    ("5", 10, "invalidSeed"),
+    (5, -3, "invalidElement"),  # would be an empty list
+    (5, 10.0, "invalidElement"),
+    (5, None, "invalidElement"),
+])
+def test_least_degrees_refuses_what_it_cannot_answer(m, top, code):
+    with pytest.raises(DomainError) as err:
+        least_degrees(m, top)
+    assert err.value.code == code
+
+
+def test_least_degrees_smallest_answers():
+    assert least_degrees(2, 0) == [0]
+    assert least_degrees(2, 3) == [0, 2, 4, 6]
+
+
 def test_class_rule_at_five_is_pinned():
     # T = C(5, 2) = 10 and q = 9, the least start of the T-window identity; the identity
     # holds on least_degrees(5, q + 2T), and each of the q + T table classes is the

@@ -23,10 +23,8 @@ from apsum import (
     membership,
     partial_sum_generators,
     quotient_basis,
-    standard_monomial_count,
-    standard_monomials,
 )
-from apsum.ideal import _dimension, _quotient_polys, binomial, grevlex_key, reduce_poly, residue_family
+from apsum.ideal import _dimension, _quotient_polys, _staircase, binomial, grevlex_key, reduce_poly, residue_family
 
 
 def labels(catalog):
@@ -36,6 +34,18 @@ def labels(catalog):
 def quotient_dimension(catalog):
     """dim_k of k[x1..x5] / (catalog + (x1)): standard monomial count in x2..x5."""
     return _dimension(_quotient_polys(catalog))
+
+
+def staircase_count(basis):
+    """Standard monomial count of a monomial ideal: its staircase runs summed, as _dimension does."""
+    runs = _staircase(basis)
+    return INFINITE if runs is None else sum(n for _, n in runs)
+
+
+def staircase_monomials(basis):
+    """Standard monomials of a monomial ideal: its staircase runs expanded, as quotient_basis does."""
+    runs = _staircase(basis)
+    return None if runs is None else [prefix + (v,) for prefix, n in runs for v in range(n)]
 
 
 def test_catalog_23_1():
@@ -276,6 +286,30 @@ def test_buchberger_never_pairs_two_monomials(monkeypatch):
     assert calls == []
 
 
+# The seeds whose catalog image in k[x2..x5] keeps a binomial, on the grid of
+# test_buchberger_works_only_where_the_image_keeps_a_binomial.  A wider probe,
+# a < 1200 with d <= 29 or d in {a + 1, 2a + 1, 40a - 1}, finds the same seven.
+IMAGE_BINOMIAL_SEEDS = [(11, 1), (11, 2), (11, 5), (11, 8), (13, 1), (13, 4), (22, 1)]
+
+
+def test_buchberger_works_only_where_the_image_keeps_a_binomial():
+    # every coprime seed with 11 <= a <= 60 and d <= 29, plus the two strict
+    # a = 21 variants: elsewhere the image is all monomials, so it is its own
+    # Groebner basis
+    catalogs = [((a, d), generator_catalog(ArithmeticSeed(a, d)))
+                for a in range(11, 61) for d in range(1, 30) if gcd(a, d) == 1]
+    catalogs += [((21, d), generator_catalog(ArithmeticSeed(21, d), strict_21=True)) for d in (1, 2)]
+    assert len(catalogs) == 907
+    with_binomial = []
+    for seed, catalog in catalogs:
+        images = _quotient_polys(catalog)
+        if any(p is not None and p[1] is not None for p in images):
+            with_binomial.append(seed)
+        else:
+            assert buchberger(images).elements == tuple(p for p in images if p is not None), seed
+    assert with_binomial == IMAGE_BINOMIAL_SEEDS
+
+
 def test_quotient_dimension_11_2():
     assert quotient_dimension(generator_catalog(ArithmeticSeed(11, 2))) == 11
 
@@ -286,7 +320,7 @@ def test_standard_monomials_hand_closure():
         (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2),
         (0, 0, 2, 0), (0, 2, 0, 0), (3, 0, 0, 0), (1, 1, 1, 0),
     ]
-    assert standard_monomial_count(basis) == 11
+    assert staircase_count(basis) == 11
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -296,22 +330,22 @@ def test_standard_monomials_residue1_pattern(q):
         (1, 1, 1, 0), (3, 0, 0, 0), (2, 0, 0, 1), (0, 0, 0, q + 1),
         (0, 0, 1, q), (0, 1, 0, q), (1, 0, 0, q), (0, 0, 2, q - 1),
     ]
-    assert standard_monomial_count(basis) == 10 * q + 1
+    assert staircase_count(basis) == 10 * q + 1
 
 
 def test_standard_monomials_infinite():
-    assert standard_monomial_count([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]) is INFINITE
+    assert staircase_count([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]) is INFINITE
     # no generator bounds x_1, whatever the variable count
-    assert standard_monomial_count([]) is INFINITE
-    assert standard_monomials([]) is None
+    assert staircase_count([]) is INFINITE
+    assert staircase_monomials([]) is None
 
 
 def test_unit_ideal_has_no_standard_monomials():
     # k[x]/(1) = 0, with or without other generators beside the constant
-    assert standard_monomial_count([(0, 0, 0, 0)]) == 0
-    assert standard_monomials([(0, 0)]) == []
-    assert standard_monomial_count([(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)]) == 0
-    assert standard_monomials([(0, 1), (0, 0)]) == []
+    assert staircase_count([(0, 0, 0, 0)]) == 0
+    assert staircase_monomials([(0, 0)]) == []
+    assert staircase_count([(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)]) == 0
+    assert staircase_monomials([(0, 1), (0, 0)]) == []
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +392,8 @@ def monomial_sets(draw):
 @given(monomial_sets())
 def test_staircase_matches_box_enumeration(case):
     basis, nvars = case
-    listed = standard_monomials(basis)
-    count = standard_monomial_count(basis)
+    listed = staircase_monomials(basis)
+    count = staircase_count(basis)
     if (0,) * nvars in basis:
         assert listed == [] and count == 0
         return
@@ -577,7 +611,7 @@ def test_dimension_is_order_stable():
     for a, d in ((11, 2), (13, 1), (22, 1), (23, 1)):
         catalog = generator_catalog(ArithmeticSeed(a, d))
         lex = reference_buchberger(ref_quotient_polys(catalog, lex_key), lex_key)
-        assert standard_monomial_count([p[1] for p in lex]) == quotient_dimension(catalog) == a
+        assert staircase_count([p[1] for p in lex]) == quotient_dimension(catalog) == a
 
 
 def test_quotient_basis_weights_are_the_apery_set():

@@ -184,7 +184,7 @@ def test_checkpoint_corrupt_record_is_recomputed(tmp_path, damage):
 
 def _resume_per_line(path):
     """Reference scan: each line decoded and read with its own json.loads."""
-    cursor = apsum.sweeps.CheckpointCursor()
+    header, completed, valid_lines, corrupt_line, byte_offset = None, {}, 0, None, 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -192,24 +192,29 @@ def _resume_per_line(path):
                 if not raw.endswith(b"\n"):
                     raise ValueError("incomplete line")
                 if lineno == 1:
-                    cursor.header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
+                    header = {"checkpoint": entry["checkpoint"], "m": entry["m"]}
                 else:
                     key = (entry["a"], entry["d"], entry["m"])
                     if "verdict" not in entry:
                         raise ValueError("incomplete record")
-                    cursor.completed[key] = entry
+                    completed[key] = entry
             except (ValueError, KeyError, TypeError):
-                cursor.corrupt_line = lineno
+                corrupt_line = lineno
                 break
-            cursor.valid_lines += 1
-            cursor.byte_offset += len(raw)
-    return cursor
+            valid_lines += 1
+            byte_offset += len(raw)
+    return apsum.sweeps.CheckpointCursor(header, completed, valid_lines, corrupt_line, byte_offset)
 
 
-def test_each_cursor_starts_with_its_own_records():
-    first, second = apsum.sweeps.CheckpointCursor(), apsum.sweeps.CheckpointCursor()
+def test_each_cursor_starts_with_its_own_records(tmp_path):
+    # a cursor is a value: every resume builds its own records, a missing
+    # file's included, and no field of it can be reassigned
+    missing = str(tmp_path / "missing.jsonl")
+    first, second = resume(missing), resume(missing)
     first.completed[(11, 1, 5)] = {"verdict": "match"}
-    assert second.completed == {} and second.header is None and second.byte_offset == 0
+    assert second == (None, {}, 0, None, 0)  # header, completed, valid_lines, corrupt_line, byte_offset
+    with pytest.raises(AttributeError):
+        first.valid_lines = 1
 
 
 def _assert_resume_matches_reference(path, data):
@@ -297,16 +302,36 @@ def test_grid_outside_the_seeds_is_refused_before_the_checkpoint(tmp_path, a_ran
     assert not path.exists()
 
 
-@pytest.mark.parametrize("a_range, d_range", [((20, 16), (1, 2)), ((16, 20), (3, 1))])
+@pytest.mark.parametrize("a_range, d_range", [((20, 16), (1, 2)), ((16, 20), (3, 1)),
+                                             ((16.0, 17), (1, 2)), (("16", 17), (1, 2)), ((16, 17), (1, 2.0)),
+                                             ((16,), (1, 2)), ((16, 17, 18), (1, 2))])
 def test_reversed_range_is_refused_before_the_checkpoint(tmp_path, a_range, d_range):
     # a reversed range is an empty grid, which would pass as a sweep with no
-    # records
+    # records; a bound that is not an int would fail mid-grid with a raw
+    # TypeError after the header was written, and a range that is not a pair
+    # would fail with a raw IndexError or drop its extra bounds unread
     path = tmp_path / "sweep.jsonl"
     for sweep in (lambda: sweep_uniqueness(5, a_range, d_range, checkpoint_path=str(path)),
                   lambda: sweep_gamma6(a_range, d_range, checkpoint_path=str(path))):
         with pytest.raises(DomainError) as err:
             sweep()
         assert err.value.code == "invalidRange"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("m, jobs, code", [(5.0, 1, "invalidSeed"), ("5", 1, "invalidSeed"),
+                                           (5, 1.5, "invalidJobs"), (5, 0, "invalidJobs")])
+def test_non_int_m_or_jobs_is_refused_before_the_checkpoint(tmp_path, m, jobs, code):
+    # a float m would write the header and fail in the first task, and a
+    # float jobs would write it and fail in the process pool
+    path = tmp_path / "sweep.jsonl"
+    sweeps = [lambda: sweep_uniqueness(m, (16, 17), (1, 1), jobs=jobs, checkpoint_path=str(path))]
+    if isinstance(m, int):  # gamma6 fixes m = 6 itself
+        sweeps.append(lambda: sweep_gamma6((16, 17), (1, 1), jobs=jobs, checkpoint_path=str(path)))
+    for sweep in sweeps:
+        with pytest.raises(DomainError) as err:
+            sweep()
+        assert err.value.code == code
     assert not path.exists()
 
 
